@@ -17,7 +17,9 @@ package repro.core
   *    (Def. 3; the kernel is unique, Lemma 2).
   */
 object LabelSeq {
-  /** Maximum packable sequence length (supports k <= 3 with 2k-deep searches). */
+  /** Maximum packable sequence length. Kernel-search packs sequences of at
+    * most k labels, so the builders accept k <= 6 (tests cover k <= 3).
+    */
   val MaxLen = 6
 
   /** Maximum label id (exclusive). */
@@ -112,68 +114,6 @@ object LabelSeq {
   /** Pretty form, e.g. `(l1,l2)` with 0-indexed labels shown 1-indexed like the paper. */
   def show(code: Long): String =
     decode(code).map(l => s"l${l + 1}").mkString("(", ",", ")")
-
-  // --------------------------------------------------------------------------
-  // Arbitrary-length (array) variants — used by the lazy-KBS theorem machinery
-  // and by tests that exercise sequences longer than MaxLen.
-  // --------------------------------------------------------------------------
-
-  /** MR over an arbitrary-length sequence. */
-  def mrArr(seq: Array[Int]): Array[Int] = {
-    val n = seq.length
-    var d = 1
-    while (d < n) {
-      if (n % d == 0) {
-        var ok = true
-        var i  = d
-        while (ok && i < n) { ok = seq(i) == seq(i - d); i += 1 }
-        if (ok) return seq.take(d)
-      }
-      d += 1
-    }
-    seq
-  }
-
-  /** Kernel length of `seq` per Def. 3, if any: the unique `m` such that
-    * `seq = (prefix m)^h ∘ tail` with `h >= 2`, the prefix primitive, and the
-    * tail empty or a proper prefix of the kernel. Returns -1 if no kernel.
-    */
-  def kernelLength(seq: Array[Int]): Int = {
-    val n = seq.length
-    var m = 1
-    while (m * 2 <= n) {
-      var ok = true
-      var i  = m
-      while (ok && i < n) { ok = seq(i) == seq(i % m); i += 1 }
-      if (ok && mrArr(seq.take(m)).length == m) return m
-      m += 1
-    }
-    -1
-  }
-
-  /** The k-MR of a path's label sequence, straight from Theorem 1:
-    * Case 1/2 — `|seq| <= 2k`: `MR(seq)` if it is short enough;
-    * Case 3 — `|seq| > 2k`: the kernel `L'` of the 2k-prefix, provided
-    * `MR(tail ∘ rest) = L'`. Returns None when the path has no non-empty k-MR.
-    * Used as a slow reference implementation in tests of the search.
-    */
-  def kMR(seq: Array[Int], k: Int): Option[Array[Int]] = {
-    require(seq.nonEmpty)
-    if (seq.length <= 2 * k) {
-      val m = mrArr(seq)
-      if (m.length <= k) Some(m) else None
-    } else {
-      val head = seq.take(2 * k)
-      val m    = kernelLength(head)
-      if (m < 0) None
-      else {
-        val kernel = head.take(m)
-        val tail   = head.drop((2 * k / m) * m)
-        val restMr = mrArr(tail ++ seq.drop(2 * k))
-        if (restMr.sameElements(kernel)) Some(kernel) else None
-      }
-    }
-  }
 
   /** Number of distinct minimum repeats (primitive sequences) of length
     * exactly `i` over an alphabet of `nLabels`:

@@ -94,11 +94,16 @@ object QueryGen {
     out.toSeq
   }
 
-  /** `n` false queries by uniform rejection sampling labeled with BiBFS. */
+  /** `n` false queries by uniform rejection sampling labeled with BiBFS;
+    * fewer if `n * 200` draws do not find `n` (e.g. when every triple is true).
+    */
   def falseQueries(g: LabeledGraph, n: Int, len: Int, seed: Long): Seq[RlcQuery] = {
     val rng = new SplittableRandom(seed)
     val out = new scala.collection.mutable.ArrayBuffer[RlcQuery](n)
-    while (out.size < n) {
+    var attempts = 0
+    val maxAttempts = n * 200
+    while (out.size < n && attempts < maxAttempts) {
+      attempts += 1
       val s  = rng.nextInt(g.numVertices)
       val t  = rng.nextInt(g.numVertices)
       val mr = sampleConstraint(rng, g.numLabels, len)

@@ -10,7 +10,7 @@ import repro.spark.{DistRlcEval, DistRlcIndexBuilder}
 /** Harnesses reproducing the paper's evaluation tables. Both the bench
   * suites (`bench/`) and the spark-submit jobs (`jobs/`) call these, so the
   * experiment logic exists once. Every row carries the paper's reported
-  * numbers next to ours; EXPERIMENTS.md records a full run.
+  * numbers next to ours.
   */
 object Experiments {
 

@@ -1,6 +1,7 @@
 package repro.graph
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
+import repro.core.LabelSeq
 
 /** Immutable edge-labeled directed graph in CSR form (both directions).
   *
@@ -49,8 +50,14 @@ final class LabeledGraph private (
 
 object LabeledGraph {
 
+  /** Vertex-count limit: the dedup key packs src and dst into 24 bits each. */
+  val MaxVertices: Int = 1 << 24
+
   /** Build from raw triples (src, label, dst); duplicates collapsed. */
   def fromEdges(numVertices: Int, numLabels: Int, triples: Array[(Int, Int, Int)]): LabeledGraph = {
+    require(numVertices <= MaxVertices, s"numVertices=$numVertices exceeds $MaxVertices")
+    require(numLabels <= LabelSeq.MaxLabels,
+      s"numLabels=$numLabels exceeds ${LabelSeq.MaxLabels}, the packed LabelSeq limit")
     val dedup = {
       val seen = new java.util.HashSet[Long](triples.length * 2)
       val buf  = new scala.collection.mutable.ArrayBuffer[(Int, Int, Int)](triples.length)

@@ -3,114 +3,58 @@ package repro.spark
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.baseline.Nfa
-import repro.core.{LabelSeq, QueryGen}
 
 /** Distributed online evaluation of RLC query batches as iterative
   * DataFrame joins over a label-partitioned edge table — the product-graph
   * BFS expressed as dataflow (the "answer RLC queries with iterative joins"
   * half of the reproduction hint, and the SysA engine stand-in of Table V).
   *
-  * State relation: `(qid, v, st)` where `st` = labels consumed modulo the
-  * constraint length; the seed is the one-step expansion from each query's
-  * source (so reaching `(t, 0)` implies a positive multiple of |L| matching
-  * L cyclically); each round joins the frontier with the per-query label
-  * table and the edge table, semi-naive style (only newly discovered states
-  * expand). Lineage is cut with eager local checkpoints.
+  * Each query carries its own automaton: `Nfa.kleenePlus` for `L^+`
+  * (Q1–Q3) and `Nfa.concatPlus` for `a^+ ∘ b^+` (Q4), so one dataflow
+  * covers every query class. State relation: `(qid, v, st)`; the seed is
+  * the one-step expansion from each query's source and start state; each
+  * round joins the frontier with the per-query transition table and the
+  * edge table, semi-naive style (only newly discovered states expand).
+  * Lineage is cut with eager local checkpoints.
   */
 object DistRlcEval {
 
-  /** DataFrames (queries, qlabels) encoding a query batch:
-    * queries(qid, s, t, len), qlabels(qid, pos, label).
+  /** DataFrames encoding a batch of `(s, t, nfa)` queries:
+    * queries(qid, s, t, start), transitions(qid, st, label, nst) and
+    * accepts(qid, ast).
     */
-  def queryTables(spark: SparkSession, queries: Seq[QueryGen.RlcQuery]): (DataFrame, DataFrame) = {
+  def nfaTables(spark: SparkSession,
+                queries: Seq[(Int, Int, Nfa)]): (DataFrame, DataFrame, DataFrame) = {
     import spark.implicits._
-    val q = queries.zipWithIndex.map { case (q, i) => (i, q.s, q.t, LabelSeq.length(q.mr)) }
-    val l = queries.zipWithIndex.flatMap { case (q, i) =>
-      LabelSeq.decode(q.mr).zipWithIndex.map { case (lab, pos) => (i, pos, lab) }
-    }
-    (spark.createDataset(q).toDF("qid", "s", "t", "len"),
-     spark.createDataset(l).toDF("qid", "pos", "label"))
-  }
-
-  /** Evaluate a batch of `L^+` queries; returns a DataFrame (qid, answer). */
-  def evaluate(spark: SparkSession, edges: DataFrame, queries: Seq[QueryGen.RlcQuery],
-               maxIters: Int = 100_000): DataFrame = {
-    val (qdf, ldf) = queryTables(spark, queries)
-    evaluateTables(spark, edges, qdf, ldf, maxIters)
-  }
-
-  def evaluateTables(spark: SparkSession, edges: DataFrame, queries: DataFrame,
-                     qlabels: DataFrame, maxIters: Int = 100_000): DataFrame = {
-    val e  = edges.select(col("src"), col("label"), col("dst"))
-    val q  = queries.cache()
-    val ql = qlabels.cache()
-
-    def step(frontier: DataFrame): DataFrame =
-      frontier
-        .join(q, "qid")
-        .join(ql, frontier("qid") === qlabels("qid") && col("pos") === col("st"))
-        .drop(qlabels("qid"))
-        .join(e, col("src") === col("v") && e("label") === ql("label"))
-        .select(frontier("qid"), col("dst").as("v"),
-                ((col("st") + 1) % col("len")).as("st"))
-        .distinct()
-
-    val seed = q
-      .join(ql, q("qid") === qlabels("qid") && col("pos") === lit(0))
-      .drop(qlabels("qid"))
-      .join(e, col("src") === col("s") && e("label") === ql("label"))
-      .select(q("qid"), col("dst").as("v"), (lit(1) % col("len")).as("st"))
-      .distinct()
-
-    var visited  = seed.localCheckpoint(true)
-    var frontier = visited
-    var iters    = 0
-    while (frontier.count() > 0 && iters < maxIters) {
-      val next = step(frontier)
-        .join(visited, Seq("qid", "v", "st"), "left_anti")
-        .localCheckpoint(true)
-      visited = visited.union(next).localCheckpoint(true)
-      frontier = next
-      iters += 1
-    }
-
-    val hit = visited
-      .join(q, visited("qid") === q("qid") && col("v") === col("t") && col("st") === lit(0))
-      .select(visited("qid"))
-      .distinct()
-      .withColumn("answer", lit(true))
-
-    q.select("qid").join(hit, Seq("qid"), "left_outer")
-      .select(col("qid"), coalesce(col("answer"), lit(false)).as("answer"))
-  }
-
-  /** Generic automaton-guided batch evaluation — same iterative-join
-    * dataflow, but driven by an explicit per-query transition table, so it
-    * also covers the extended query class `a^+ ∘ b^+` (Table V's Q4).
-    * Queries are `(s, t, nfa)` triples; returns (qid, answer).
-    */
-  def evaluateNfaBatch(spark: SparkSession, edges: DataFrame,
-                       queries: Seq[(Int, Int, Nfa)], maxIters: Int = 100_000,
-                       budgetMs: Long = -1L): DataFrame = {
-    import spark.implicits._
-    val deadline = if (budgetMs < 0) Long.MaxValue else System.nanoTime() + budgetMs * 1_000_000L
-    val e = edges.select(col("src"), col("label"), col("dst"))
-
-    val q = spark.createDataset(queries.zipWithIndex.map { case ((s, t, nfa), i) =>
+    val indexed = queries.zipWithIndex
+    val q = spark.createDataset(indexed.map { case ((s, t, nfa), i) =>
       (i, s, t, nfa.start)
-    }).toDF("qid", "s", "t", "start").cache()
+    }).toDF("qid", "s", "t", "start")
 
-    val trans = spark.createDataset(queries.zipWithIndex.flatMap { case ((_, _, nfa), i) =>
+    val trans = spark.createDataset(indexed.flatMap { case ((_, _, nfa), i) =>
       for {
         st <- 0 until nfa.numStates
         l  <- nfa.trans(st).indices
         if nfa.trans(st)(l) >= 0
       } yield (i, st, l, nfa.trans(st)(l))
-    }).toDF("qid", "st", "label", "nst").cache()
+    }).toDF("qid", "st", "label", "nst")
 
-    val accepts = spark.createDataset(queries.zipWithIndex.flatMap { case ((_, _, nfa), i) =>
+    val accepts = spark.createDataset(indexed.flatMap { case ((_, _, nfa), i) =>
       nfa.acceptStates.map(a => (i, a))
-    }).toDF("qid", "ast").cache()
+    }).toDF("qid", "ast")
+    (q, trans, accepts)
+  }
+
+  /** Evaluate a batch of `(s, t, nfa)` queries; returns (qid, answer), qid
+    * being the query's position in `queries`.
+    */
+  def evaluateNfaBatch(spark: SparkSession, edges: DataFrame,
+                       queries: Seq[(Int, Int, Nfa)], maxIters: Int = 100_000,
+                       budgetMs: Long = -1L): DataFrame = {
+    val deadline = if (budgetMs < 0) Long.MaxValue else System.nanoTime() + budgetMs * 1_000_000L
+    val e = edges.select(col("src"), col("label"), col("dst"))
+    val (q, trans, accepts) = nfaTables(spark, queries)
+    q.cache(); trans.cache(); accepts.cache()
 
     def step(frontier: DataFrame): DataFrame =
       frontier

@@ -103,21 +103,14 @@ object DistRlcIndexBuilder {
     val bcGraph = sc.broadcast(g)
     val bcAid   = sc.broadcast(aid)
 
-    val verbose = sys.env.contains("REPRO_BUILD_VERBOSE")
-    val headParam = sys.env.get("REPRO_SEQ_HEAD").map(_.toInt).getOrElse(seqHead)
     val head = math.min(order.length,
-      if (headParam >= 0) headParam else math.min(1024, math.max(64, g.numVertices / 64)))
-    val tHead0 = System.nanoTime()
+      if (seqHead >= 0) seqHead else math.min(1024, math.max(64, g.numVertices / 64)))
     RlcIndexBuilder.runRoots(g, k, index, order.take(head).toIndexedSeq,
       new KbsScratch(g.numVertices, k))
-    if (verbose)
-      Console.err.println(f"[DistRlcIndexBuilder] sequential head=$head " +
-        f"${(System.nanoTime() - tHead0) / 1e9}%.1fs entries=${index.entryCount}")
 
     var start = head
-    var batchSize = sys.env.get("REPRO_FIRST_BATCH").map(_.toInt).getOrElse(firstBatch)
+    var batchSize = firstBatch
     while (start < order.length) {
-      val t0 = System.nanoTime()
       val batch  = order.slice(start, math.min(order.length, start + batchSize))
       val bcSnap = sc.broadcast(FlatRlcIndex.fromIndex(index))
       val slices = math.max(1, math.min(batch.length, sc.defaultParallelism * 4))
@@ -137,7 +130,6 @@ object DistRlcIndexBuilder {
           }
           .collect()
       bcSnap.destroy()
-      val tTasks = System.nanoTime()
 
       // Merge in access-id order (parallelize + collect preserve batch order),
       // replaying PR1 against the live index for the condensed property.
@@ -153,15 +145,6 @@ object DistRlcIndexBuilder {
           }
           i += 1
         }
-      }
-
-      if (verbose) {
-        val tMerge = System.nanoTime()
-        val cand = results.map(_._4.toLong).sum
-        Console.err.println(
-          f"[DistRlcIndexBuilder] batch@$start size=${batch.length} " +
-          f"tasks=${(tTasks - t0) / 1e9}%.1fs merge=${(tMerge - tTasks) / 1e9}%.1fs " +
-          f"candidates=$cand entries=${index.entryCount}")
       }
       start += batch.length
       batchSize = math.min(maxBatch, batchSize * 2)

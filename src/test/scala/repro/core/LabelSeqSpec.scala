@@ -84,7 +84,7 @@ class LabelSeqSpec extends AnyFunSuite {
         val code = LabelSeq.encode(s.toArray)
         assert(LabelSeq.decode(LabelSeq.mr(code)).toSeq == naiveMr(s),
           s"seq=$s")
-        assert(LabelSeq.mrArr(s.toArray).toSeq == naiveMr(s))
+        assert(LabelSeqRef.mrArr(s.toArray).toSeq == naiveMr(s))
       }
     }
 
@@ -131,15 +131,15 @@ class LabelSeqSpec extends AnyFunSuite {
     for (len <- 2 to 12; s <- seqsOf(len)) {
       val ks = naiveKernelLengths(s)
       assert(ks.size <= 1, s"multiple kernels $ks for $s")
-      assert(LabelSeq.kernelLength(s.toArray) == ks.headOption.getOrElse(-1), s"seq=$s")
+      assert(LabelSeqRef.kernelLength(s.toArray) == ks.headOption.getOrElse(-1), s"seq=$s")
     }
   }
 
   test("kernel examples: (knows,knows,knows,knows) has kernel knows, tail ε") {
-    assert(LabelSeq.kernelLength(Array(0, 0, 0, 0)) == 1)
-    assert(LabelSeq.kernelLength(Array(0, 1, 0, 1, 0)) == 2) // tail = proper prefix (0)
-    assert(LabelSeq.kernelLength(Array(0, 1, 1, 0)) == -1)
-    assert(LabelSeq.kernelLength(Array(0, 1)) == -1) // h >= 2 required
+    assert(LabelSeqRef.kernelLength(Array(0, 0, 0, 0)) == 1)
+    assert(LabelSeqRef.kernelLength(Array(0, 1, 0, 1, 0)) == 2) // tail = proper prefix (0)
+    assert(LabelSeqRef.kernelLength(Array(0, 1, 1, 0)) == -1)
+    assert(LabelSeqRef.kernelLength(Array(0, 1)) == -1) // h >= 2 required
   }
 
   // ---- Theorem 1: kMR vs direct MR with exhaustive/randomized paths ----
@@ -147,7 +147,7 @@ class LabelSeqSpec extends AnyFunSuite {
   for (k <- 1 to 3)
     test(s"Theorem 1 cases agree with direct MR for short sequences, k=$k") {
       for (len <- 1 to 2 * k; s <- allSeqs(2, len)) {
-        val got = LabelSeq.kMR(s.toArray, k).map(_.toSeq)
+        val got = LabelSeqRef.kMR(s.toArray, k).map(_.toSeq)
         val expect = Some(naiveMr(s)).filter(_.length <= k)
         assert(got == expect, s"seq=$s")
       }
@@ -159,7 +159,7 @@ class LabelSeqSpec extends AnyFunSuite {
       for (_ <- 1 to 2000) {
         val len = 2 * k + 1 + rng.nextInt(8)
         val s = Array.fill(len)(rng.nextInt(2))
-        val got = LabelSeq.kMR(s, k).map(_.toSeq)
+        val got = LabelSeqRef.kMR(s, k).map(_.toSeq)
         val expect = Some(naiveMr(s.toSeq)).filter(_.length <= k)
         assert(got == expect, s"seq=${s.toSeq}")
       }
@@ -171,7 +171,7 @@ class LabelSeqSpec extends AnyFunSuite {
         val s = Array.tabulate(m * reps + rng.nextInt(m))(i => kernel(i % m))
         if (rng.nextBoolean() && s.length > 2 * k) s(s.length - 1 - rng.nextInt(2)) ^= 1
         if (s.nonEmpty) {
-          val got = LabelSeq.kMR(s, k).map(_.toSeq)
+          val got = LabelSeqRef.kMR(s, k).map(_.toSeq)
           val expect = Some(naiveMr(s.toSeq)).filter(_.length <= k)
           assert(got == expect, s"seq=${s.toSeq}")
         }

@@ -3,6 +3,7 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestGraphs
 import repro.baseline.BruteForce
+import repro.graph.LabeledGraph
 
 /** Workload generation: labels, primitivity, determinism, answer
   * correctness of both query sets.
@@ -42,6 +43,14 @@ class QueryGenSpec extends AnyFunSuite {
     assert(a == b)
     val c = QueryGen.workload(g, n = 20, len = 2, seed = 78)
     assert(a != c)
+  }
+
+  test("false-query generation returns when every triple is true") {
+    // one-label complete digraph with self-loops: every (s, t, l0+) holds
+    val n = 4
+    val g = LabeledGraph.fromEdges(n, 1,
+      (for (s <- 0 until n; t <- 0 until n) yield (s, 0, t)).toArray)
+    assert(QueryGen.falseQueries(g, 5, len = 1, seed = 1).isEmpty)
   }
 
   test("the RLC index agrees on every generated query") {

@@ -54,7 +54,7 @@ class GraphStatsSpec extends SparkSpec {
     test(s"DuckDB oracle agrees on triangles and loops, random graph seed=$seed") {
       val g = TestGraphs.random(seed, n = 40, e = 200, labels = 3, loopShare = 0.08)
       val edges = g.toDF(spark)
-      Oracle.assertEquivalent(GraphStats.trianglesDF(edges), triangleSql, "edges" -> edges)
+      Oracle.assertEquivalent(GraphStatsRef.trianglesDF(edges), triangleSql, "edges" -> edges)
       Oracle.assertEquivalent(GraphStats.trianglesDFOrdered(edges), triangleSql, "edges" -> edges)
       Oracle.assertEquivalent(GraphStats.loopsDF(edges), loopSql, "edges" -> edges)
     }
@@ -63,7 +63,7 @@ class GraphStatsSpec extends SparkSpec {
     test(s"ordered and naive triangle counts agree on skewed graphs, seed=$seed") {
       val g = TestGraphs.smallBa(seed, n = 150, e = 900, labels = 3)
       val edges = g.toDF(spark)
-      val a = GraphStats.trianglesDF(edges).collect()(0).getLong(0)
+      val a = GraphStatsRef.trianglesDF(edges).collect()(0).getLong(0)
       val b = GraphStats.trianglesDFOrdered(edges).collect()(0).getLong(0)
       assert(a == b, s"naive=$a ordered=$b")
     }

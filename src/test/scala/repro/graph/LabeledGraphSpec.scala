@@ -1,6 +1,7 @@
 package repro.graph
 
 import repro.{SparkSpec, TestGraphs}
+import repro.core.LabelSeq
 
 /** CSR construction, dedup, degrees, and DataFrame roundtrip. */
 class LabeledGraphSpec extends SparkSpec {
@@ -37,6 +38,18 @@ class LabeledGraphSpec extends SparkSpec {
   test("out-of-range vertices and labels rejected") {
     intercept[IllegalArgumentException](LabeledGraph.fromEdges(2, 2, Array((0, 0, 2))))
     intercept[IllegalArgumentException](LabeledGraph.fromEdges(2, 2, Array((0, 2, 1))))
+  }
+
+  test("more labels than packed LabelSeq holds rejected") {
+    intercept[IllegalArgumentException](
+      LabeledGraph.fromEdges(2, LabelSeq.MaxLabels + 1, Array((0, LabelSeq.MaxLabels, 1))))
+  }
+
+  test("more vertices than the dedup key holds rejected") {
+    // (0,0,2^24) and (1,0,0) would share one 24/24/16-bit dedup key
+    val n = LabeledGraph.MaxVertices
+    intercept[IllegalArgumentException](
+      LabeledGraph.fromEdges(n + 1, 1, Array((0, 0, n), (1, 0, 0))))
   }
 
   test("toDF/fromDF roundtrip preserves the edge set") {

@@ -6,14 +6,16 @@ import repro.core.{LabelSeq, RlcIndexBuilder}
 
 /** The batched distributed builder must answer exactly like the sequential
   * Algorithm 2 (both equal brute force) and stay condensed, including when
-  * forced through many small batches (maximum snapshot staleness).
+  * forced through many small batches (maximum snapshot staleness). Every
+  * build passes `seqHead = 0`: the automatic head would cover all roots of
+  * these small graphs, and no Spark batch would run.
   */
 class DistRlcIndexBuilderSpec extends SparkSpec {
 
   for (seed <- 1 to 5)
     test(s"dist index ≡ sequential ≡ brute force, seed=$seed, tiny batches") {
       val g = TestGraphs.random(seed, n = 20, e = 60, labels = 3)
-      val dist = DistRlcIndexBuilder.build(spark, g, 2, firstBatch = 3, maxBatch = 7)
+      val dist = DistRlcIndexBuilder.build(spark, g, 2, firstBatch = 3, maxBatch = 7, seqHead = 0)
       val seq  = RlcIndexBuilder.build(g, 2)
       for (s <- 0 until g.numVertices; t <- 0 until g.numVertices;
            mr <- BruteForce.primitives(3, 2)) {
@@ -26,7 +28,7 @@ class DistRlcIndexBuilderSpec extends SparkSpec {
 
   test("k=3 distributed build on a cyclic graph") {
     val g = TestGraphs.random(11, n = 15, e = 45, labels = 2)
-    val dist = DistRlcIndexBuilder.build(spark, g, 3, firstBatch = 4, maxBatch = 8)
+    val dist = DistRlcIndexBuilder.build(spark, g, 3, firstBatch = 4, maxBatch = 8, seqHead = 0)
     for (s <- 0 until g.numVertices; t <- 0 until g.numVertices;
          mr <- BruteForce.primitives(2, 3))
       assert(dist.query(s, t, mr) == BruteForce.reach(g, s, t, mr),
@@ -35,7 +37,7 @@ class DistRlcIndexBuilderSpec extends SparkSpec {
 
   test("skewed BA graph: distributed ≡ sequential answers, size within 10%") {
     val g = TestGraphs.smallBa(13, n = 80, e = 320, labels = 3)
-    val dist = DistRlcIndexBuilder.build(spark, g, 2, firstBatch = 16, maxBatch = 64)
+    val dist = DistRlcIndexBuilder.build(spark, g, 2, firstBatch = 16, maxBatch = 64, seqHead = 0)
     val seq  = RlcIndexBuilder.build(g, 2)
     for (s <- 0 until g.numVertices; t <- 0 until g.numVertices;
          mr <- BruteForce.primitives(3, 2))
@@ -49,7 +51,7 @@ class DistRlcIndexBuilderSpec extends SparkSpec {
 
   test("single batch equals the fully-sequential entry set") {
     val g = TestGraphs.random(17, n = 25, e = 75, labels = 3)
-    val dist = DistRlcIndexBuilder.build(spark, g, 2, firstBatch = 1, maxBatch = 1)
+    val dist = DistRlcIndexBuilder.build(spark, g, 2, firstBatch = 1, maxBatch = 1, seqHead = 0)
     val seq  = RlcIndexBuilder.build(g, 2)
     def sets(ix: repro.core.RlcIndex) = {
       val b = Set.newBuilder[(Int, Int, Long, Boolean)]
