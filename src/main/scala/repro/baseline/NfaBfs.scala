@@ -3,7 +3,8 @@ package repro.baseline
 import repro.graph.LabeledGraph
 
 /** Online traversal baselines of the paper (Sec. VI-a): NFA-guided BFS and
-  * bidirectional BFS over the product of the graph and the query automaton.
+  * bidirectional BFS over the product of the graph and the query automaton;
+  * also the `L^+` walk that query generation and the hybrid Q4 share.
   *
   * State space is `(vertex, automaton state)` packed as `v * numStates + q`,
   * visited sets are flat bitsets, so a query costs O(|V| * |Q| + |E| * |Q|)
@@ -11,6 +12,47 @@ import repro.graph.LabeledGraph
   * per-query timeouts.
   */
 object NfaBfs {
+
+  /** Depth-first walk of the product of `g` with `lab^+` (states
+    * `v * |lab| + phase`) from the successors of `s`: calls `visit(v)` the
+    * first time it reaches `(v, phase 0)`, i.e. once per `v` with `s ⇝ v`
+    * under `lab^+`. Returns true when it stopped early: `visit` returned
+    * true, or more than `maxStates` states were reached.
+    */
+  def plusWalk(g: LabeledGraph, s: Int, lab: Array[Int], maxStates: Int = Int.MaxValue)
+              (visit: Int => Boolean): Boolean = {
+    val m = lab.length
+    require(g.numVertices.toLong * m <= Int.MaxValue, "product state space too large")
+    val seen  = new java.util.BitSet(g.numVertices * m)
+    var stack = new Array[Int](64) // (vertex, phase) pairs
+    var top   = 0
+    var states = 0
+    var v = s // expanded at phase 0 but never marked: the empty path is no match
+    var phase = 0
+    var more = true
+    while (more) {
+      val want   = lab(phase)
+      val nphase = if (phase + 1 == m) 0 else phase + 1
+      var i = g.outOff(v)
+      val end = g.outOff(v + 1)
+      while (i < end) {
+        if (g.outLabel(i) == want) {
+          val w   = g.outDst(i)
+          val nst = w * m + nphase
+          if (!seen.get(nst)) {
+            seen.set(nst); states += 1
+            if (states > maxStates || (nphase == 0 && visit(w))) return true
+            if (top == stack.length) stack = java.util.Arrays.copyOf(stack, top * 2)
+            stack(top) = w; stack(top + 1) = nphase; top += 2
+          }
+        }
+        i += 1
+      }
+      more = top > 0
+      if (more) { top -= 2; v = stack(top); phase = stack(top + 1) }
+    }
+    false
+  }
 
   /** Forward NFA-guided BFS: does an accepting path s -> t exist?
     *

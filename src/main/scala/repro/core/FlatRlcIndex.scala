@@ -1,29 +1,20 @@
 package repro.core
 
 /** Immutable CSR-packed snapshot of an [[RlcIndex]] — cheap to serialize
-  * and broadcast (six flat arrays instead of 2·|V| objects), queried with
-  * the same [[EntryOps]] primitives as the live index.
+  * and broadcast (six flat arrays instead of 2·|V| objects). The distributed
+  * builder's tasks need only its Case-1 join, the same [[EntryOps]] merge
+  * join as the live index's: no snapshot entry can answer their PR1 by
+  * Case 2 (see `DistRlcIndexBuilder`).
   */
 final class FlatRlcIndex(
-    val numVertices: Int,
-    val k: Int,
     val aid: Array[Int],
     val outOff: Array[Int], val outHops: Array[Int], val outMrs: Array[Long],
     val inOff: Array[Int], val inHops: Array[Int], val inMrs: Array[Long],
 ) extends Serializable {
 
-  def outContains(s: Int, hop: Int, mr: Long): Boolean =
-    EntryOps.contains(aid, outHops, outMrs, outOff(s), outOff(s + 1), hop, mr)
-
-  def inContains(t: Int, hop: Int, mr: Long): Boolean =
-    EntryOps.contains(aid, inHops, inMrs, inOff(t), inOff(t + 1), hop, mr)
-
   def caseOneJoin(s: Int, t: Int, mr: Long): Boolean =
     EntryOps.mergeJoin(aid, outHops, outMrs, outOff(s), outOff(s + 1),
       inHops, inMrs, inOff(t), inOff(t + 1), mr)
-
-  def query(s: Int, t: Int, mr: Long): Boolean =
-    outContains(s, t, mr) || inContains(t, s, mr) || caseOneJoin(s, t, mr)
 }
 
 object FlatRlcIndex {
@@ -46,6 +37,6 @@ object FlatRlcIndex {
     }
     val (oo, oh, om) = pack(index.out)
     val (io, ih, im) = pack(index.in)
-    new FlatRlcIndex(n, index.k, index.aid, oo, oh, om, io, ih, im)
+    new FlatRlcIndex(index.aid, oo, oh, om, io, ih, im)
   }
 }

@@ -1,5 +1,6 @@
 package repro.core
 
+import repro.baseline.NfaBfs
 import repro.graph.LabeledGraph
 
 /** Hybrid evaluation of the paper's extended query Q4 `a^+ ∘ b^+`
@@ -15,31 +16,7 @@ object HybridEval {
   def concatPlus(g: LabeledGraph, index: RlcIndex, s: Int, t: Int, a: Int, b: Int): Boolean = {
     require(a != b)
     val bMr = LabelSeq.encode(Array(b))
-    val seen = new java.util.BitSet(g.numVertices)
-    var queue = List.empty[Int]
-
-    def push(v: Int): Boolean = {
-      if (!seen.get(v)) {
-        // v is reachable from s via a^+ — probe the index for v ⇝ t via b^+.
-        if (index.query(v, t, bMr)) return true
-        seen.set(v); queue ::= v
-      }
-      false
-    }
-
-    var i = g.outOff(s)
-    while (i < g.outOff(s + 1)) {
-      if (g.outLabel(i) == a && push(g.outDst(i))) return true
-      i += 1
-    }
-    while (queue.nonEmpty) {
-      val v = queue.head; queue = queue.tail
-      var j = g.outOff(v)
-      while (j < g.outOff(v + 1)) {
-        if (g.outLabel(j) == a && push(g.outDst(j))) return true
-        j += 1
-      }
-    }
-    false
+    // every v the a^+ walk reaches: probe the index for v ⇝ t via b^+
+    NfaBfs.plusWalk(g, s, Array(a))(v => index.query(v, t, bMr))
   }
 }

@@ -18,7 +18,7 @@ package repro.core
   */
 object LabelSeq {
   /** Maximum packable sequence length. Kernel-search packs sequences of at
-    * most k labels, so the builders accept k <= 6 (tests cover k <= 3).
+    * most k labels, so the builders accept k <= 6.
     */
   val MaxLen = 6
 

@@ -35,45 +35,20 @@ object QueryGen {
     LabelSeq.encode(picked)
   }
 
-  /** All `t` reachable from `s` under `L^+` (bounded product BFS);
-    * returns an empty array when the budget trips.
+  private val MaxClosureStates = 2_000_000
+
+  /** All `t` reachable from `s` under `L^+`; empty when the walk passes
+    * `MaxClosureStates` product states (`trueQueries` then skips the draw).
     */
-  private def closure(g: LabeledGraph, s: Int, mr: Long, maxStates: Int): Array[Int] = {
-    val m = LabelSeq.length(mr)
-    val lab = LabelSeq.decode(mr)
-    val seen = new java.util.BitSet(g.numVertices * m)
-    var queue = List.empty[Int]
-    val hits  = new scala.collection.mutable.ArrayBuffer[Int]()
-    var states = 0
-
-    def push(v: Int, phase: Int): Unit = {
-      val st = v * m + phase
-      if (!seen.get(st)) {
-        seen.set(st); queue ::= st; states += 1
-        if (phase == 0) hits += v
-      }
-    }
-
-    var i = g.outOff(s)
-    while (i < g.outOff(s + 1)) {
-      if (g.outLabel(i) == lab(0)) push(g.outDst(i), 1 % m)
-      i += 1
-    }
-    while (queue.nonEmpty && states <= maxStates) {
-      val st = queue.head; queue = queue.tail
-      val v = st / m; val phase = st % m
-      var j = g.outOff(v)
-      while (j < g.outOff(v + 1)) {
-        if (g.outLabel(j) == lab(phase)) push(g.outDst(j), (phase + 1) % m)
-        j += 1
-      }
-    }
-    if (states > maxStates) Array.empty else hits.toArray
+  private def closure(g: LabeledGraph, s: Int, mr: Long): Array[Int] = {
+    val hits = Array.newBuilder[Int]
+    if (NfaBfs.plusWalk(g, s, LabelSeq.decode(mr), MaxClosureStates) { v => hits += v; false })
+      Array.empty
+    else hits.result()
   }
 
   /** `n` true queries with constraints of `len` distinct labels. */
-  def trueQueries(g: LabeledGraph, n: Int, len: Int, seed: Long,
-                  maxStates: Int = 2_000_000): Seq[RlcQuery] = {
+  def trueQueries(g: LabeledGraph, n: Int, len: Int, seed: Long): Seq[RlcQuery] = {
     val rng = new SplittableRandom(seed)
     val out = new scala.collection.mutable.ArrayBuffer[RlcQuery](n)
     var attempts = 0
@@ -82,7 +57,7 @@ object QueryGen {
       attempts += 1
       val s  = rng.nextInt(g.numVertices)
       val mr = sampleConstraint(rng, g.numLabels, len)
-      val ts = closure(g, s, mr, maxStates)
+      val ts = closure(g, s, mr)
       if (ts.nonEmpty) {
         var picks = math.min(4, math.min(ts.length, n - out.size))
         while (picks > 0) {

@@ -98,21 +98,18 @@ object Experiments {
     * @param etcEdgeLimit ETC is attempted only below this edge count (the
     *        paper's 24 h timeouts, scaled: larger graphs cannot finish by
     *        construction and would only burn the bench budget);
-    * @param etcBudgetMs wall-clock budget per ETC build;
-    * @param seqEdgeLimit the sequential (single-threaded, paper-faithful)
-    *        builder is also timed below this edge count.
+    * @param etcBudgetMs wall-clock budget per ETC build.
     */
   def tableIV(spark: SparkSession, cfgs: Seq[GraphGen.LiteConfig],
               etcEdgeLimit: Int = 20_000, etcBudgetMs: Long = 120_000L,
-              seqEdgeLimit: Int = 60_000, spotChecks: Int = 20,
               onRow: T4Row => Unit = _ => ()): Seq[T4Row] = {
     val withAnchor =
       if (cfgs.exists(_.name == "ADq")) cfgs else GraphGen.adQuarter +: cfgs
     withAnchor.map { cfg =>
       val g = cfg.generate()
       val (rlc, rlcIt) = time(DistRlcIndexBuilder.build(spark, g, 2))
-      val seqIt =
-        if (g.numEdges <= seqEdgeLimit) Some(time(RlcIndexBuilder.build(g, 2))._2) else None
+      val seqIt = // the single-threaded, paper-faithful builder, up to 60K edges
+        if (g.numEdges <= 60_000) Some(time(RlcIndexBuilder.build(g, 2))._2) else None
 
       val (etcIt, etcSize, outcome) =
         if (g.numEdges > etcEdgeLimit) (None, None, "skipped")
@@ -125,8 +122,8 @@ object Experiments {
         }
 
       // correctness spot-check of the built index against online BiBFS
-      val trues  = QueryGen.trueQueries(g, spotChecks, len = 2, seed = 1234)
-      val falses = QueryGen.falseQueries(g, spotChecks, len = 2, seed = 1235)
+      val trues  = QueryGen.trueQueries(g, 20, len = 2, seed = 1234)
+      val falses = QueryGen.falseQueries(g, 20, len = 2, seed = 1235)
       val mism = (trues ++ falses).count { q =>
         rlc.query(q.s, q.t, q.mr) != q.answer
       }
@@ -186,6 +183,7 @@ object Experiments {
   private def q4Queries(g: LabeledGraph, n: Int, seed: Long): Seq[T5Query] = {
     val rng = new SplittableRandom(seed)
     val out = scala.collection.mutable.ArrayBuffer.empty[T5Query]
+    var trues = 0
     var guard = 0
     while (out.size < n && guard < n * 400) {
       guard += 1
@@ -194,30 +192,33 @@ object Experiments {
       var b = rng.nextInt(g.numLabels); while (b == a) b = rng.nextInt(g.numLabels)
       val nfa = Nfa.concatPlus(a, b, g.numLabels)
       val ans = NfaBfs.bfs(g, s, t, nfa).get
-      val wantTrue = out.count(q => NfaBfs.bfs(g, q.s, q.t, q.nfa).get) < n / 2
-      if (ans == wantTrue || out.size >= n / 2)
-        out += T5Query(s, t, nfa, 0L, a, b, isQ4 = true)
+      if (ans == (trues < n / 2) || out.size >= n / 2) {
+        out += T5Query(s, t, nfa, 0L, a, b, isQ4 = true); if (ans) trues += 1
+      }
     }
     out.toSeq
   }
 
-  def tableV(spark: SparkSession, cfg: GraphGen.LiteConfig, k: Int = 3,
-             perClass: Int = 4, sysAPerClass: Int = 2, sysABudgetMs: Long = 120_000L,
-             rlcReps: Int = 2000,
+  private val T5K = 3            // Table V's index parameter
+  private val T5PerClass = 4     // queries per class
+  private val T5IndexReps = 2000 // passes over a class when timing the index
+
+  def tableV(spark: SparkSession, cfg: GraphGen.LiteConfig,
+             sysAPerClass: Int = 2, sysABudgetMs: Long = 120_000L,
              log: String => Unit = _ => ()): (Double, Double, Seq[T5Row]) = {
     val g = cfg.generate()
     log(s"graph ${cfg.name}: |V|=${g.numVertices} |E|=${g.numEdges} |L|=${g.numLabels}")
-    val (index, itSec) = time(DistRlcIndexBuilder.build(spark, g, k))
-    log(f"RLC index built with k=$k in ${itSec}%.1fs, ${index.sizeInMB}%.1f MB, ${index.entryCount} entries")
+    val (index, itSec) = time(DistRlcIndexBuilder.build(spark, g, T5K))
+    log(f"RLC index built with k=$T5K in ${itSec}%.1fs, ${index.sizeInMB}%.1f MB, ${index.entryCount} entries")
 
     val edges = g.toDF(spark).cache()
     edges.count() // materialize: engines query a loaded graph
 
     val classes: Seq[(String, Seq[T5Query])] = Seq(
-      "Q1" -> genClass(g, 1, perClass, 71),
-      "Q2" -> genClass(g, 2, perClass, 72),
-      "Q3" -> genClass(g, 3, perClass, 73),
-      "Q4" -> q4Queries(g, perClass, 74),
+      "Q1" -> genClass(g, 1, T5PerClass, 71),
+      "Q2" -> genClass(g, 2, T5PerClass, 72),
+      "Q3" -> genClass(g, 3, T5PerClass, 73),
+      "Q4" -> q4Queries(g, T5PerClass, 74),
     )
 
     val rows = classes.flatMap { case (cls, queries) =>
@@ -226,7 +227,7 @@ object Experiments {
       var blackhole = 0
       val (_, rlcTotal) = time {
         var r = 0
-        while (r < rlcReps) {
+        while (r < T5IndexReps) {
           queries.foreach { q =>
             val ans = if (q.isQ4) HybridEval.concatPlus(g, index, q.s, q.t, q.a, q.b)
                       else index.query(q.s, q.t, q.mr)
@@ -235,7 +236,7 @@ object Experiments {
           r += 1
         }
       }
-      val rlcSec = rlcTotal / (rlcReps.toLong * queries.size)
+      val rlcSec = rlcTotal / (T5IndexReps.toLong * queries.size)
       log(s"$cls: rlc per-query ${fmtSec(rlcSec)} (blackhole=$blackhole)")
 
       val sysB = median(queries.map(q => time(NfaBfs.bfs(g, q.s, q.t, q.nfa))._2))
@@ -245,7 +246,7 @@ object Experiments {
           try {
             val (df, sec) = time {
               DistRlcEval.evaluateNfaBatch(spark, edges, Seq((q.s, q.t, q.nfa)),
-                maxIters = 100_000, budgetMs = sysABudgetMs)
+                budgetMs = sysABudgetMs)
             }
             df.collect()
             Some(sec)
@@ -275,7 +276,7 @@ object Experiments {
   def renderT5(itSec: Double, sizeMB: Double, rows: Seq[T5Row]): String = {
     val sb = new StringBuilder
     sb ++= "== Table V: speed-ups (SU) and break-even points (BEP) of the RLC index ==\n"
-    sb ++= f"   (index: k=3, built in ${itSec}%.1fs, $sizeMB%.1f MB; paper: 5.9 min, 821 MB on full WN)\n"
+    sb ++= f"   (index: k=$T5K, built in ${itSec}%.1fs, $sizeMB%.1f MB; paper: 5.9 min, 821 MB on full WN)\n"
     sb ++= f"${"class"}%-5s ${"engine"}%-6s ${"engine t"}%10s ${"RLC t"}%10s ${"SU"}%12s ${"BEP"}%10s | paper(SU, BEP)\n"
     rows.foreach { r =>
       val paperKey = (engineSubst(r.engine), r.queryClass)

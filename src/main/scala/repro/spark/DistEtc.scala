@@ -33,13 +33,15 @@ object DistEtc {
     rel.distinct()
   }
 
+  private val MaxIters = 100_000 // join rounds after which a closure stops growing
+
   /** Semi-naive transitive closure of a binary relation (src, dst). */
-  def transitiveClosure(rel: DataFrame, maxIters: Int = 100_000): DataFrame = {
+  def transitiveClosure(rel: DataFrame): DataFrame = {
     val base  = rel.localCheckpoint(true)
     var tc    = base
     var delta = base
     var iters = 0
-    while (delta.count() > 0 && iters < maxIters) {
+    while (delta.count() > 0 && iters < MaxIters) {
       val next = delta
         .join(base.select(col("src").as("bsrc"), col("dst").as("bdst")),
               delta("dst") === col("bsrc"))
@@ -55,14 +57,11 @@ object DistEtc {
   }
 
   /** The full ETC as a DataFrame (src, dst, mr), `mr` a packed primitive
-    * sequence. Candidate constraints default to every primitive sequence of
-    * length <= k over the alphabet (empty one-copy relations are skipped
-    * cheaply after one count).
+    * sequence, over every primitive sequence of length <= k over the
+    * alphabet (empty one-copy relations are skipped cheaply after one count).
     */
-  def build(spark: SparkSession, edges: DataFrame, numLabels: Int, k: Int,
-            candidates: Seq[Long] = Nil): DataFrame = {
-    val prims = if (candidates.nonEmpty) candidates else BruteForce.primitives(numLabels, k)
-    val parts = prims.flatMap { mr =>
+  def build(spark: SparkSession, edges: DataFrame, numLabels: Int, k: Int): DataFrame = {
+    val parts = BruteForce.primitives(numLabels, k).flatMap { mr =>
       val one = oneCopy(edges, mr)
       if (one.isEmpty) None
       else Some(transitiveClosure(one).withColumn("mr", lit(mr)))

@@ -45,12 +45,13 @@ object DistRlcEval {
     (q, trans, accepts)
   }
 
+  private val MaxIters = 100_000 // join rounds after which a batch stops expanding
+
   /** Evaluate a batch of `(s, t, nfa)` queries; returns (qid, answer), qid
     * being the query's position in `queries`.
     */
   def evaluateNfaBatch(spark: SparkSession, edges: DataFrame,
-                       queries: Seq[(Int, Int, Nfa)], maxIters: Int = 100_000,
-                       budgetMs: Long = -1L): DataFrame = {
+                       queries: Seq[(Int, Int, Nfa)], budgetMs: Long = -1L): DataFrame = {
     val deadline = if (budgetMs < 0) Long.MaxValue else System.nanoTime() + budgetMs * 1_000_000L
     val e = edges.select(col("src"), col("label"), col("dst"))
     val (q, trans, accepts) = nfaTables(spark, queries)
@@ -74,7 +75,7 @@ object DistRlcEval {
     var visited  = seed.localCheckpoint(true)
     var frontier = visited
     var iters    = 0
-    while (frontier.count() > 0 && iters < maxIters) {
+    while (frontier.count() > 0 && iters < MaxIters) {
       if (System.nanoTime() > deadline)
         throw new java.util.concurrent.TimeoutException(s"budget ${budgetMs}ms exceeded after $iters iterations")
       val next = step(frontier)

@@ -29,58 +29,42 @@ object DistRlcIndexBuilder {
 
   private val DirOutBit = 1 << 30
 
-  /** Per-task inserter: PR2 by access id; PR1 against frozen snapshot +
-    * this task's local overlay (all overlay entries have hop = root, so the
-    * overlay terms below cover exactly the Case-2 and hop-root Case-1
-    * contributions the snapshot cannot see).
+  /** Per-task inserter: PR2 by access id; PR1 against the frozen snapshot
+    * plus `overlay`, this task's own entries keyed like `meta`. Every
+    * overlay entry has hop = root, and no snapshot entry has root or a later
+    * vertex as hop, so PR1's Case 2 can hold only through the overlay: the
+    * entry itself, or for `insertIn(root, mr)` `(root, mr)` in `L_out(root)`.
+    * The mirror term of `insertOut` never holds, because [[Kbs.run]] runs
+    * the backward search (`insertOut`) before the forward one (DESIGN.md §6).
+    * Case 1 needs only the snapshot.
     */
   private final class TaskInserter(snap: FlatRlcIndex, aid: Array[Int], root: Int)
       extends Inserter {
-    private val localOut = new java.util.HashMap[Integer, java.util.HashSet[java.lang.Long]]()
-    private val localIn  = new java.util.HashMap[Integer, java.util.HashSet[java.lang.Long]]()
+    private val overlay = new java.util.HashMap[Integer, java.util.HashSet[java.lang.Long]]()
     var meta: Array[Int] = new Array[Int](16)
     var mrs: Array[Long] = new Array[Long](16)
     var n: Int = 0
 
-    private def ovHas(m: java.util.HashMap[Integer, java.util.HashSet[java.lang.Long]],
-                      v: Int, mr: Long): Boolean = {
-      val s = m.get(v); s != null && s.contains(mr)
+    private def has(key: Int, mr: Long): Boolean = {
+      val s = overlay.get(key); s != null && s.contains(mr)
     }
-    private def ovAdd(m: java.util.HashMap[Integer, java.util.HashSet[java.lang.Long]],
-                      v: Int, mr: Long): Unit = {
-      var s = m.get(v)
-      if (s == null) { s = new java.util.HashSet[java.lang.Long](4); m.put(v, s) }
-      s.add(mr)
-    }
-    private def record(dirOut: Boolean, y: Int, mr: Long): Unit = {
+    private def record(key: Int, mr: Long): Boolean = {
+      overlay.computeIfAbsent(key, _ => new java.util.HashSet[java.lang.Long](4)).add(mr)
       if (n == meta.length) {
         meta = java.util.Arrays.copyOf(meta, n * 2)
         mrs = java.util.Arrays.copyOf(mrs, n * 2)
       }
-      meta(n) = if (dirOut) y | DirOutBit else y
-      mrs(n) = mr
-      n += 1
+      meta(n) = key; mrs(n) = mr; n += 1
+      true
     }
 
-    def insertOut(y: Int, mr: Long): Boolean = {
-      if (aid(root) > aid(y)) return false // PR2
-      val pruned = // PR1 = Query(y, root, mr^+) over snapshot ∪ overlay
-        snap.outContains(y, root, mr) || ovHas(localOut, y, mr) ||
-        snap.inContains(root, y, mr) || (y == root && ovHas(localIn, root, mr)) ||
-        snap.caseOneJoin(y, root, mr)
-      if (pruned) false
-      else { ovAdd(localOut, y, mr); record(dirOut = true, y, mr); true }
-    }
+    def insertOut(y: Int, mr: Long): Boolean = // PR2, then PR1 = Query(y, root, mr^+)
+      aid(root) <= aid(y) && !has(y | DirOutBit, mr) && !snap.caseOneJoin(y, root, mr) &&
+        record(y | DirOutBit, mr)
 
-    def insertIn(y: Int, mr: Long): Boolean = {
-      if (aid(root) > aid(y)) return false // PR2
-      val pruned = // PR1 = Query(root, y, mr^+) over snapshot ∪ overlay
-        snap.outContains(root, y, mr) || (y == root && ovHas(localOut, root, mr)) ||
-        snap.inContains(y, root, mr) || ovHas(localIn, y, mr) ||
-        snap.caseOneJoin(root, y, mr)
-      if (pruned) false
-      else { ovAdd(localIn, y, mr); record(dirOut = false, y, mr); true }
-    }
+    def insertIn(y: Int, mr: Long): Boolean = // PR2, then PR1 = Query(root, y, mr^+)
+      aid(root) <= aid(y) && !has(y, mr) && !(y == root && has(root | DirOutBit, mr)) &&
+        !snap.caseOneJoin(root, y, mr) && record(y, mr)
   }
 
   /** @param seqHead number of highest-priority roots processed sequentially

@@ -68,4 +68,36 @@ class NfaBfsSpec extends AnyFunSuite {
     assert(NfaBfs.bibfs(g, 0, 4, nfa).contains(true))
     assert(NfaBfs.bibfs(g, 0, 3, nfa).contains(false))
   }
+
+  test("plusWalk visits exactly the L+ closure of s, each vertex once") {
+    for (seed <- 1 to 6; mr <- BruteForce.primitives(3, 2)) {
+      val g = TestGraphs.random(seed, n = 20, e = 60, labels = 3)
+      for (s <- 0 until g.numVertices) {
+        val seen = scala.collection.mutable.ArrayBuffer.empty[Int]
+        assert(!NfaBfs.plusWalk(g, s, LabelSeq.decode(mr)) { v => seen += v; false })
+        val expected = (0 until g.numVertices).filter(t => BruteForce.reach(g, s, t, mr))
+        assert(seen.sorted == expected, s"seed=$seed s=$s ${LabelSeq.show(mr)}")
+      }
+    }
+  }
+
+  test("plusWalk stops at the first visit that returns true") {
+    // 0 -l0-> 1 -l0-> 2 -l0-> 3
+    val g = LabeledGraph.fromEdges(4, 1, Array((0, 0, 1), (1, 0, 2), (2, 0, 3)))
+    val seen = scala.collection.mutable.ArrayBuffer.empty[Int]
+    assert(NfaBfs.plusWalk(g, 0, Array(0)) { v => seen += v; v == 2 })
+    assert(seen == Seq(1, 2))
+  }
+
+  test("plusWalk budget trips when more than maxStates states are reached") {
+    // (l0,l1)+ over 0 -l0-> 1 -l1-> 2 -l0-> 3 -l1-> 4: four product states
+    val g = LabeledGraph.fromEdges(5, 2, Array((0, 0, 1), (1, 1, 2), (2, 0, 3), (3, 1, 4)))
+    val lab = Array(0, 1)
+    val seen = scala.collection.mutable.ArrayBuffer.empty[Int]
+    assert(!NfaBfs.plusWalk(g, 0, lab, maxStates = 4) { v => seen += v; false })
+    assert(seen == Seq(2, 4))
+    seen.clear()
+    assert(NfaBfs.plusWalk(g, 0, lab, maxStates = 3) { v => seen += v; false })
+    assert(seen == Seq(2))
+  }
 }

@@ -45,6 +45,18 @@ class QueryGenSpec extends AnyFunSuite {
     assert(a != c)
   }
 
+  test("workload output is pinned: the same draws on a fixed graph and seed") {
+    def fingerprint(qs: Seq[QueryGen.RlcQuery]): Long =
+      qs.foldLeft(17L) { (h, q) =>
+        (((h * 31 + q.s) * 31 + q.t) * 31 + q.mr) * 31 + (if (q.answer) 1 else 0)
+      }
+    val got = (1 to 3).map { len =>
+      val (trues, falses) = QueryGen.workload(g, n = 30, len = len, seed = 11)
+      fingerprint(trues ++ falses)
+    }
+    assert(got == Seq(7713359464638745835L, 5274791912313346372L, 6565144099430733055L))
+  }
+
   test("false-query generation returns when every triple is true") {
     // one-label complete digraph with self-loops: every (s, t, l0+) holds
     val n = 4
