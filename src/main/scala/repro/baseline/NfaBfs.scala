@@ -6,8 +6,9 @@ import repro.graph.LabeledGraph
   * bidirectional BFS over the product of the graph and the query automaton;
   * also the `L^+` walk that query generation and the hybrid Q4 share.
   *
-  * State space is `(vertex, automaton state)` packed as `v * numStates + q`,
-  * visited sets are flat bitsets, so a query costs O(|V| * |Q| + |E| * |Q|)
+  * State space is `(vertex, automaton state)` packed as the Int
+  * `v * numStates + q` (a larger product is rejected, not wrapped), visited
+  * sets are flat bitsets, so a query costs O(|V| * |Q| + |E| * |Q|)
   * worst case. An optional step budget lets benches enforce the paper's
   * per-query timeouts.
   */
@@ -62,6 +63,7 @@ object NfaBfs {
     */
   def bfs(g: LabeledGraph, s: Int, t: Int, nfa: Nfa, budget: Long = -1L): Option[Boolean] = {
     val q       = nfa.numStates
+    require(g.numVertices.toLong * q <= Int.MaxValue, "product state space too large")
     val visited = new java.util.BitSet(g.numVertices * q)
     val queue   = new java.util.ArrayDeque[Integer]()
     var steps   = 0L
@@ -95,6 +97,7 @@ object NfaBfs {
     */
   def bibfs(g: LabeledGraph, s: Int, t: Int, nfa: Nfa, budget: Long = -1L): Option[Boolean] = {
     val q  = nfa.numStates
+    require(g.numVertices.toLong * q <= Int.MaxValue, "product state space too large")
     val vf = new java.util.BitSet(g.numVertices * q)
     val vb = new java.util.BitSet(g.numVertices * q)
     var frontF = List(s * q + nfa.start)

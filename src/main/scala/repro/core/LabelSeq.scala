@@ -69,14 +69,6 @@ object LabelSeq {
     (labels << 8) | label.toLong | ((n + 1).toLong << 48)
   }
 
-  /** Concatenation `a ∘ b`. */
-  def concat(a: Long, b: Long): Long = {
-    val na = length(a); val nb = length(b)
-    require(na + nb <= MaxLen, s"concat beyond MaxLen=$MaxLen")
-    val bl = b & 0xffffffffffffL
-    (a & 0xffffffffffffL) | (bl << (8 * na)) | ((na + nb).toLong << 48)
-  }
-
   /** The prefix of the first `p` labels. */
   def prefix(code: Long, p: Int): Long = {
     val n = length(code)

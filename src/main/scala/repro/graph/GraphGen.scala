@@ -25,10 +25,10 @@ import scala.collection.mutable.ArrayBuffer
   */
 object GraphGen {
 
-  /** Zipf(exponent) sampler over labels 0..nLabels-1 (rank 1 = label 0). */
-  final class ZipfLabels(nLabels: Int, exponent: Double = 2.0) extends Serializable {
+  /** Zipf(2) sampler over labels 0..nLabels-1 (rank 1 = label 0). */
+  final class ZipfLabels(nLabels: Int) extends Serializable {
     private val cdf: Array[Double] = {
-      val w = (1 to nLabels).map(r => 1.0 / math.pow(r, exponent)).toArray
+      val w = (1 to nLabels).map(r => 1.0 / math.pow(r, 2.0)).toArray
       val total = w.sum
       val c = new Array[Double](nLabels)
       var acc = 0.0

@@ -93,18 +93,4 @@ object LabeledGraph {
     }
     new LabeledGraph(numVertices, numLabels, outOff, outDst, outLab, inOff, inSrc, inLab)
   }
-
-  /** Build from a Spark edge DataFrame with int columns src, label, dst.
-    * Vertex/label counts default to max id + 1.
-    */
-  def fromDF(df: DataFrame, numVertices: Int = -1, numLabels: Int = -1): LabeledGraph = {
-    val triples = df.select("src", "label", "dst").collect().map { r =>
-      (r.getInt(0), r.getInt(1), r.getInt(2))
-    }
-    val n = if (numVertices >= 0) numVertices
-            else triples.iterator.flatMap(t => Iterator(t._1, t._3)).foldLeft(-1)(math.max) + 1
-    val l = if (numLabels >= 0) numLabels
-            else triples.iterator.map(_._2).foldLeft(-1)(math.max) + 1
-    fromEdges(n, l, triples)
-  }
 }

@@ -29,7 +29,7 @@ object DistRlcIndexBuilder {
 
   private val DirOutBit = 1 << 30
 
-  /** Per-task inserter: PR2 by access id; PR1 against the frozen snapshot
+  /** Per-task inserter: PR2 by the snapshot's access ids; PR1 against the frozen snapshot
     * plus `overlay`, this task's own entries keyed like `meta`. Every
     * overlay entry has hop = root, and no snapshot entry has root or a later
     * vertex as hop, so PR1's Case 2 can hold only through the overlay: the
@@ -38,8 +38,8 @@ object DistRlcIndexBuilder {
     * the backward search (`insertOut`) before the forward one (DESIGN.md §6).
     * Case 1 needs only the snapshot.
     */
-  private final class TaskInserter(snap: FlatRlcIndex, aid: Array[Int], root: Int)
-      extends Inserter {
+  private final class TaskInserter(snap: FlatRlcIndex, root: Int) extends Inserter {
+    private val aid = snap.aid
     private val overlay = new java.util.HashMap[Integer, java.util.HashSet[java.lang.Long]]()
     var meta: Array[Int] = new Array[Int](16)
     var mrs: Array[Long] = new Array[Long](16)
@@ -85,7 +85,6 @@ object DistRlcIndexBuilder {
     val (aid, order) = RlcIndexBuilder.accessOrder(g)
     val index   = new RlcIndex(g.numVertices, k, aid)
     val bcGraph = sc.broadcast(g)
-    val bcAid   = sc.broadcast(aid)
 
     val head = math.min(order.length,
       if (seqHead >= 0) seqHead else math.min(1024, math.max(64, g.numVertices / 64)))
@@ -103,11 +102,10 @@ object DistRlcIndexBuilder {
         sc.parallelize(batch.toIndexedSeq, slices)
           .mapPartitions { roots =>
             val graph   = bcGraph.value
-            val aidArr  = bcAid.value
             val snap    = bcSnap.value
             val scratch = new KbsScratch(graph.numVertices, k)
             roots.map { root =>
-              val ins = new TaskInserter(snap, aidArr, root)
+              val ins = new TaskInserter(snap, root)
               Kbs.run(graph, root, k, ins, scratch)
               (root, ins.meta, ins.mrs, ins.n)
             }
@@ -134,7 +132,6 @@ object DistRlcIndexBuilder {
       batchSize = math.min(maxBatch, batchSize * 2)
     }
     bcGraph.destroy()
-    bcAid.destroy()
     index
   }
 }

@@ -81,6 +81,15 @@ class NfaBfsSpec extends AnyFunSuite {
     }
   }
 
+  test("bfs, bibfs and plusWalk reject a product state space beyond Int range") {
+    // 2^24 vertices × 128 states = 2^31 product states: one more than an Int index holds
+    val g = LabeledGraph.fromEdges(LabeledGraph.MaxVertices, 1, Array.empty)
+    val nfa = new Nfa(128, 0, Array.fill(128)(false), Array.fill(128, 1)(-1))
+    intercept[IllegalArgumentException](NfaBfs.bfs(g, 0, 1, nfa))
+    intercept[IllegalArgumentException](NfaBfs.bibfs(g, 0, 1, nfa))
+    intercept[IllegalArgumentException](NfaBfs.plusWalk(g, 0, Array.fill(128)(0))(_ => false))
+  }
+
   test("plusWalk stops at the first visit that returns true") {
     // 0 -l0-> 1 -l0-> 2 -l0-> 3
     val g = LabeledGraph.fromEdges(4, 1, Array((0, 0, 1), (1, 0, 2), (2, 0, 3)))

@@ -56,20 +56,6 @@ class LabelSeqSpec extends AnyFunSuite {
     }
   }
 
-  test("concat matches encode of concatenation; empty is the unit") {
-    val rng = new SplittableRandom(17)
-    for (_ <- 1 to 300) {
-      val la = rng.nextInt(LabelSeq.MaxLen + 1)
-      val lb = rng.nextInt(LabelSeq.MaxLen + 1 - la)
-      val a = Array.fill(la)(rng.nextInt(256))
-      val b = Array.fill(lb)(rng.nextInt(256))
-      assert(LabelSeq.concat(LabelSeq.encode(a), LabelSeq.encode(b)) == LabelSeq.encode(a ++ b))
-    }
-    val x = LabelSeq.encode(1, 2, 3)
-    assert(LabelSeq.concat(x, LabelSeq.Empty) == x)
-    assert(LabelSeq.concat(LabelSeq.Empty, x) == x)
-  }
-
   test("prefix extracts leading labels") {
     val code = LabelSeq.encode(4, 9, 4, 9, 4)
     assert(LabelSeq.decode(LabelSeq.prefix(code, 2)).toSeq == Seq(4, 9))
