@@ -4,13 +4,13 @@ package repro.core
   * and broadcast (six flat arrays instead of 2·|V| objects). The distributed
   * builder's tasks need only its Case-1 join, the same [[EntryOps]] merge
   * join as the live index's: no snapshot entry can answer their PR1 by
-  * Case 2 (see `DistRlcIndexBuilder`).
+  * Case 2 (see [[RootInserter]]).
   */
 final class FlatRlcIndex(
     val aid: Array[Int],
     val outOff: Array[Int], val outHops: Array[Int], val outMrs: Array[Long],
     val inOff: Array[Int], val inHops: Array[Int], val inMrs: Array[Long],
-) extends Serializable {
+) extends CaseOne with Serializable {
 
   def caseOneJoin(s: Int, t: Int, mr: Long): Boolean =
     EntryOps.mergeJoin(aid, outHops, outMrs, outOff(s), outOff(s + 1),

@@ -40,7 +40,7 @@ final class RlcIndex(
     val numVertices: Int,
     val k: Int,
     val aid: Array[Int],
-) extends Serializable {
+) extends CaseOne with Serializable {
 
   val out: Array[EntryList] = Array.fill(numVertices)(new EntryList)
   val in: Array[EntryList]  = Array.fill(numVertices)(new EntryList)

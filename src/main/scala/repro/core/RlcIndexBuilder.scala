@@ -5,8 +5,9 @@ import repro.graph.LabeledGraph
 /** Sequential indexing algorithm (paper Algorithm 2): backward + forward
   * eager KBS from every vertex in IN-OUT access order, with pruning rules
   *
-  *  - PR1: skip an entry whose k-MR is already derivable from the current
-  *    index snapshot (a Query against the index under construction);
+  *  - PR1: skip an entry whose k-MR is already derivable from the index
+  *    built so far: the root's own entries plus a Case-1 join over the
+  *    earlier roots' entries ([[RootInserter]], DESIGN.md §6);
   *  - PR2: skip an entry when the search root has a larger access id than
   *    the visited vertex (the visited vertex's own, earlier search covered
   *    the path);
@@ -34,32 +35,18 @@ object RlcIndexBuilder {
     (aid, sorted)
   }
 
-  /** Live inserter: PR2 by access id, PR1 via a Query on the index under
-    * construction (the aid-sorted entry lists make the Case-1 merge join
-    * scan only the shared hub prefix of both lists, which keeps PR1 cheap).
-    */
-  private final class LiveInserter(index: RlcIndex, val aidArr: Array[Int]) extends Inserter {
-    var root: Int = -1
-    def insertOut(y: Int, mr: Long): Boolean =
-      if (aidArr(root) > aidArr(y) || index.query(y, root, mr)) false
-      else { index.addOut(y, root, mr); true }
-    def insertIn(y: Int, mr: Long): Boolean =
-      if (aidArr(root) > aidArr(y) || index.query(root, y, mr)) false
-      else { index.addIn(y, root, mr); true }
-  }
-
   /** Run Algorithm 2's per-root KBS sequentially for the given roots (which
-    * must come in access-id order), inserting into `index` live. Also the
-    * sequential-head phase of the distributed builder.
+    * must come in access-id order), appending each root's entries to `index`
+    * after its search. Also the sequential-head phase of the distributed
+    * builder.
     */
   def runRoots(g: LabeledGraph, k: Int, index: RlcIndex, roots: Seq[Int],
-               scratch: KbsScratch): Unit = {
-    val ins = new LiveInserter(index, index.aid)
+               scratch: KbsScratch): Unit =
     roots.foreach { root =>
-      ins.root = root
+      val ins = new RootInserter(index.aid, index, root)
       Kbs.run(g, root, k, ins, scratch)
+      RootInserter.append(index, root, ins.meta, ins.mrs, ins.n)
     }
-  }
 
   /** Build the RLC index for `g` with parameter `k`. */
   def build(g: LabeledGraph, k: Int): RlcIndex = {

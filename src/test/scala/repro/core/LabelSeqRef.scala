@@ -62,4 +62,22 @@ object LabelSeqRef {
       }
     }
   }
+
+  /** Number of distinct minimum repeats (primitive sequences) of length
+    * exactly `i` over an alphabet of `nLabels`:
+    * `F(i) = nLabels^i − Σ_{j | i, j != i} F(j)` (paper Sec. V-C).
+    */
+  def primitiveCount(nLabels: Int, i: Int): Long = {
+    var total = math.pow(nLabels, i).toLong
+    var j = 1
+    while (j < i) {
+      if (i % j == 0) total -= primitiveCount(nLabels, j)
+      j += 1
+    }
+    total
+  }
+
+  /** `C = Σ_{i=1..k} F(i)` — the number of possible distinct MRs (Sec. V-C). */
+  def primitiveCountUpTo(nLabels: Int, k: Int): Long =
+    (1 to k).map(primitiveCount(nLabels, _)).sum
 }

@@ -98,7 +98,7 @@ class LabelSeqSpec extends AnyFunSuite {
       val enumerated = (1 to k).map { len =>
         allSeqs(labels, len).count(s => naiveMr(s).length == s.length).toLong
       }.sum
-      assert(LabelSeq.primitiveCountUpTo(labels, k) == enumerated)
+      assert(LabelSeqRef.primitiveCountUpTo(labels, k) == enumerated)
     }
 
   // ---- kernels (Def. 3) ----

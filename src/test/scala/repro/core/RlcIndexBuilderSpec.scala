@@ -1,5 +1,8 @@
 package repro.core
 
+import org.scalacheck.{Gen, Prop, Shrink, Test}
+import org.scalacheck.rng.Seed
+import org.scalacheck.util.Pretty
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestGraphs
 import repro.baseline.BruteForce
@@ -8,10 +11,12 @@ import repro.graph.LabeledGraph
 /** Soundness + completeness of the sequential indexing algorithm on many
   * seeded random graphs: for every vertex pair and every primitive
   * constraint of length <= k, the index answer must equal an independent
-  * brute-force product-graph search. Also checks the condensed property
-  * and the flat snapshot.
+  * brute-force product-graph search. Also checks the condensed property,
+  * the flat snapshot, and that the builder keeps exactly the entries of
+  * the paper's literal protocol ([[LiveQueryInserter]]).
   */
 class RlcIndexBuilderSpec extends AnyFunSuite {
+  import RlcIndexBuilderSpec._
 
   private def checkAllPairs(g: LabeledGraph, k: Int): RlcIndex = {
     val index = RlcIndexBuilder.build(g, k)
@@ -111,5 +116,48 @@ class RlcIndexBuilderSpec extends AnyFunSuite {
     val index = RlcIndexBuilder.build(g, 2)
     assert(index.sizeInBytes == index.entryCount * 12 + g.numVertices * 8)
     assert(index.sizeInMB > 0)
+  }
+
+  private def entryLists(ix: RlcIndex): IndexedSeq[(Seq[(Int, Long)], Seq[(Int, Long)])] = {
+    def list(l: EntryList) = l.hops.take(l.n).toSeq.zip(l.mrs.take(l.n))
+    (0 until ix.numVertices).map(v => (list(ix.out(v)), list(ix.in(v))))
+  }
+
+  test("property: RlcIndexBuilder keeps the literal Algorithm 2's entry lists, in order") {
+    val prop = Prop.forAll(genCase) { c =>
+      val g = c.graph
+      entryLists(RlcIndexBuilder.build(g, c.k)) == entryLists(LiveQueryInserter.build(g, c.k))
+    }
+    val params = Test.Parameters.default.withMinSuccessfulTests(500).withInitialSeed(Seed(20230401L))
+    val result = Test.check(params, prop)
+    assert(result.passed, Pretty.pretty(result))
+  }
+}
+
+object RlcIndexBuilderSpec {
+
+  /** A graph over `n` vertices given by its `(src, label, dst)` edges. */
+  final case class Case(k: Int, n: Int, edges: List[(Int, Int, Int)]) {
+    def graph: LabeledGraph =
+      LabeledGraph.fromEdges(n, edges.map(_._2).maxOption.fold(1)(_ + 1), edges.toArray)
+  }
+
+  val genCase: Gen[Case] = for {
+    k      <- Gen.choose(1, 4)
+    n      <- Gen.choose(1, 8)
+    labels <- Gen.choose(1, 3)
+    edge    = for {
+      s     <- Gen.choose(0, n - 1)
+      d     <- Gen.frequency(1 -> Gen.const(s), 3 -> Gen.choose(0, n - 1))
+      l     <- Gen.choose(0, labels - 1)
+      extra <- Gen.option(Gen.choose(0, labels - 1)) // a parallel edge, maybe with another label
+    } yield (s, l, d) :: extra.map(l2 => (s, l2, d)).toList
+    edges  <- Gen.choose(0, 3 * n).flatMap(Gen.listOfN(_, edge))
+  } yield Case(k, n, edges.flatten)
+
+  // Drop one edge, or lower k: every shrink is again a valid case.
+  implicit val shrinkCase: Shrink[Case] = Shrink.withLazyList { c =>
+    c.edges.indices.to(LazyList).map(i => c.copy(edges = c.edges.patch(i, Nil, 1))) #:::
+      (1 until c.k).to(LazyList).map(k => c.copy(k = k))
   }
 }

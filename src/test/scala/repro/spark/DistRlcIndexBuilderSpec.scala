@@ -2,13 +2,14 @@ package repro.spark
 
 import repro.{SparkSpec, TestGraphs}
 import repro.baseline.BruteForce
-import repro.core.{LabelSeq, RlcIndexBuilder}
+import repro.core.{LabelSeq, RlcIndex, RlcIndexBuilder}
 
 /** The batched distributed builder must answer exactly like the sequential
   * Algorithm 2 (both equal brute force) and stay condensed, including when
   * forced through many small batches (maximum snapshot staleness). Every
-  * build passes `seqHead = 0`: the automatic head would cover all roots of
-  * these small graphs, and no Spark batch would run.
+  * build passes a small `seqHead` (mostly 0): the automatic head would
+  * cover all roots of these small graphs, and no Spark batch would run.
+  * Pinned entry sets guard the merge against drift.
   */
 class DistRlcIndexBuilderSpec extends SparkSpec {
 
@@ -64,4 +65,29 @@ class DistRlcIndexBuilderSpec extends SparkSpec {
     // with batch size 1 the snapshot is never stale — entry sets must match exactly
     assert(sets(dist) == sets(seq))
   }
+
+  /** Order-independent checksum over every (vertex, direction, hop, MR) entry. */
+  private def checksum(ix: RlcIndex): Long = {
+    var sum = 0L
+    for (v <- 0 until ix.numVertices) {
+      ix.out(v).foreachEntry((h, m) => sum += (v, 1, h, m).##.toLong)
+      ix.in(v).foreachEntry((h, m) => sum += (v, 0, h, m).##.toLong)
+    }
+    sum
+  }
+
+  // (graph seed, seqHead, entry count, checksum), recorded while the merge's
+  // PR1 was Algorithm 1 (`RlcIndex.query`); its Case-1-only re-check must
+  // keep the same entry sets (DESIGN.md §6).
+  private val Pinned = Seq(
+    (1, 0, 215L, -5434706825L), (2, 0, 240L, -230616567L), (3, 0, 201L, -28683721556L),
+    (4, 0, 237L, -2117277189L), (5, 0, 198L, -20743691220L), (13, 8, 715L, -33051146747L))
+
+  for ((seed, head, entries, sum) <- Pinned)
+    test(s"pinned entry set, seed=$seed, seqHead=$head") {
+      val g = if (head == 0) TestGraphs.random(seed, n = 20, e = 60, labels = 3)
+              else TestGraphs.smallBa(seed, n = 80, e = 320, labels = 3)
+      val dist = DistRlcIndexBuilder.build(spark, g, 2, firstBatch = 3, maxBatch = 7, seqHead = head)
+      assert((dist.entryCount, checksum(dist)) == ((entries, sum)))
+    }
 }
