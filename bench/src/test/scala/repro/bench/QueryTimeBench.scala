@@ -9,15 +9,13 @@ import repro.graph.GraphGen
   * headline). Figures are out of scope; this backs the claim behind
   * Table V's speed-ups with set-level numbers like the paper's Fig. 3.
   *
-  * Knobs: REPRO_QT_GRAPHS (default AD,TW,WN), REPRO_QT_N (default 200).
+  * Subset via REPRO_GRAPHS=AD,TW,... (default: AD,TW,WN).
   */
 class QueryTimeBench extends SparkSpec {
 
   test("query-set execution time: RLC vs BFS vs BiBFS") {
-    val names = sys.env.getOrElse("REPRO_QT_GRAPHS", "AD,TW,WN").split(",").map(_.trim).toSeq
-    val n = sys.env.get("REPRO_QT_N").map(_.toInt).getOrElse(200)
-    val rows = Experiments.queryTime(spark, names.map(GraphGen.lite), n,
-      log = s => println(s"  $s"))
+    val names = sys.env.getOrElse("REPRO_GRAPHS", "AD,TW,WN").split(",").map(_.trim).toSeq
+    val rows = Experiments.queryTime(spark, names.map(GraphGen.lite))
     println(Experiments.renderQT(rows))
 
     rows.foreach { r =>

@@ -10,7 +10,7 @@ import repro.graph.GraphGen
   * within any scaled budget — the paper's "-" rows), with a wall-clock
   * budget. Every built index is spot-checked against online BiBFS.
   *
-  * Knobs: REPRO_GRAPHS=AD,EP (subset), REPRO_ETC_BUDGET_MS, REPRO_ETC_EDGE_LIMIT.
+  * Subset via REPRO_GRAPHS=AD,EP,... (default: all 13).
   */
 class TableIVBench extends SparkSpec {
 
@@ -19,13 +19,8 @@ class TableIVBench extends SparkSpec {
       .map(_.split(",").map(_.trim).toSeq)
       .getOrElse(GraphGen.liteSuite.map(_.name))
     val cfgs = names.map(GraphGen.lite)
-    val etcBudget = sys.env.get("REPRO_ETC_BUDGET_MS").map(_.toLong).getOrElse(120_000L)
-    val etcLimit  = sys.env.get("REPRO_ETC_EDGE_LIMIT").map(_.toInt).getOrElse(20_000)
 
-    val rows = Experiments.tableIV(spark, cfgs,
-      etcEdgeLimit = etcLimit, etcBudgetMs = etcBudget,
-      onRow = r => println(f"  done ${r.name}%-4s rlcIT=${Experiments.fmtSec(r.rlcItSec)} " +
-        f"rlcIS=${r.rlcSizeMB}%.1fMB etc=${r.etcOutcome}"))
+    val rows = Experiments.tableIV(spark, cfgs)
     println(Experiments.renderT4(rows))
 
     rows.foreach { r =>

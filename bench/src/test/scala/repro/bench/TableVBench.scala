@@ -8,19 +8,11 @@ import repro.graph.GraphGen
   * WN analog over three engine stand-ins (SysA = Spark iterative-join
   * dataflow, SysB = NFA BFS, SysC = NFA BiBFS) for Q1 `a+`, Q2 `(a∘b)+`,
   * Q3 `(a∘b∘c)+`, and the extended Q4 `a+∘b+` (hybrid index+traversal).
-  *
-  * Knobs: REPRO_T5_GRAPH (default WN), REPRO_SYSA_BUDGET_MS,
-  * REPRO_SYSA_PER_CLASS.
   */
 class TableVBench extends SparkSpec {
 
   test("Table V — RLC index speed-ups over engine stand-ins (k=3)") {
-    val cfg = GraphGen.lite(sys.env.getOrElse("REPRO_T5_GRAPH", "WN"))
-    val sysABudget = sys.env.get("REPRO_SYSA_BUDGET_MS").map(_.toLong).getOrElse(120_000L)
-    val sysAPerClass = sys.env.get("REPRO_SYSA_PER_CLASS").map(_.toInt).getOrElse(2)
-
-    val (itSec, sizeMB, rows) = Experiments.tableV(spark, cfg,
-      sysABudgetMs = sysABudget, sysAPerClass = sysAPerClass, log = s => println(s"  $s"))
+    val (itSec, sizeMB, rows) = Experiments.tableV(spark, GraphGen.lite("WN"))
     println(Experiments.renderT5(itSec, sizeMB, rows))
 
     rows.foreach { r =>

@@ -7,10 +7,9 @@ import repro.core._
 import repro.graph.{GraphGen, GraphStats, LabeledGraph}
 import repro.spark.{DistRlcEval, DistRlcIndexBuilder}
 
-/** Harnesses reproducing the paper's evaluation tables. Both the bench
-  * suites (`bench/`) and the spark-submit jobs (`jobs/`) call these, so the
-  * experiment logic exists once. Every row carries the paper's reported
-  * numbers next to ours.
+/** Harnesses reproducing the paper's evaluation tables, run by the bench
+  * suites (`bench/`, one per table). Every row carries the paper's reported
+  * numbers next to ours; progress lines go to stdout.
   */
 object Experiments {
 
@@ -89,20 +88,18 @@ object Experiments {
                          etcOutcome: String, // "ok" | "budget" | "skipped"
                          mismatches: Int, checkedQueries: Int)
 
+  // ETC is attempted only up to this |E| (the paper's 24 h timeouts, scaled:
+  // larger graphs cannot finish and would only burn the bench budget)
+  private val EtcEdgeLimit = 20_000
+  private val EtcBudgetMs = 120_000L // wall-clock budget per ETC build
+
   /** Runs Table IV for the given configs, prefixed with the quarter-scale
     * ETC anchor row `ADq` (the only graph where the ETC baseline finishes
     * in bench time — a 7-minute probe on the full AD analog still hits the
     * budget, matching the paper where ETC needed 2216s even on its
     * smallest graph).
-    *
-    * @param etcEdgeLimit ETC is attempted only below this edge count (the
-    *        paper's 24 h timeouts, scaled: larger graphs cannot finish by
-    *        construction and would only burn the bench budget);
-    * @param etcBudgetMs wall-clock budget per ETC build.
     */
-  def tableIV(spark: SparkSession, cfgs: Seq[GraphGen.LiteConfig],
-              etcEdgeLimit: Int = 20_000, etcBudgetMs: Long = 120_000L,
-              onRow: T4Row => Unit = _ => ()): Seq[T4Row] = {
+  def tableIV(spark: SparkSession, cfgs: Seq[GraphGen.LiteConfig]): Seq[T4Row] = {
     val withAnchor =
       if (cfgs.exists(_.name == "ADq")) cfgs else GraphGen.adQuarter +: cfgs
     withAnchor.map { cfg =>
@@ -112,9 +109,9 @@ object Experiments {
         if (g.numEdges <= 60_000) Some(time(RlcIndexBuilder.build(g, 2))._2) else None
 
       val (etcIt, etcSize, outcome) =
-        if (g.numEdges > etcEdgeLimit) (None, None, "skipped")
+        if (g.numEdges > EtcEdgeLimit) (None, None, "skipped")
         else {
-          val (res, sec) = time(Etc.build(g, 2, budgetMs = etcBudgetMs))
+          val (res, sec) = time(Etc.build(g, 2, budgetMs = EtcBudgetMs))
           res match {
             case Some(etc) => (Some(sec), Some(etc.sizeInMB), "ok")
             case None      => (None, None, "budget")
@@ -130,7 +127,7 @@ object Experiments {
 
       val row = T4Row(cfg.name, g.numVertices, g.numEdges, rlcIt, rlc.sizeInMB,
         rlc.entryCount, seqIt, etcIt, etcSize, outcome, mism, trues.size + falses.size)
-      onRow(row)
+      println(f"  done ${row.name}%-4s rlcIT=${fmtSec(rlcIt)} rlcIS=${row.rlcSizeMB}%.1fMB etc=$outcome")
       row
     }
   }
@@ -138,7 +135,7 @@ object Experiments {
   def renderT4(rows: Seq[T4Row]): String = {
     val sb = new StringBuilder
     sb ++= "== Table IV: indexing time (IT) and index size (IS), k=2 — RLC vs ETC ==\n"
-    sb ++= "   (ours: lite analogs on 16 cores; paper: full graphs, single thread, 24h cap)\n"
+    sb ++= "   (ours: lite analogs; paper: full graphs, single thread, 24h cap)\n"
     sb ++= f"${"name"}%-4s ${"|V|"}%8s ${"|E|"}%9s | ${"RLC IT"}%8s ${"RLC IS"}%9s ${"entries"}%9s ${"seq IT"}%8s | " +
            f"${"ETC IT"}%8s ${"ETC IS"}%9s | paper RLC IT/IS, ETC IT/IS\n"
     rows.foreach { r =>
@@ -202,66 +199,68 @@ object Experiments {
   private val T5K = 3            // Table V's index parameter
   private val T5PerClass = 4     // queries per class
   private val T5IndexReps = 2000 // passes over a class when timing the index
+  private val SysAPerClass = 2   // SysA (Spark fixpoint) queries per class
+  private val SysABudgetMs = 120_000L
 
-  def tableV(spark: SparkSession, cfg: GraphGen.LiteConfig,
-             sysAPerClass: Int = 2, sysABudgetMs: Long = 120_000L,
-             log: String => Unit = _ => ()): (Double, Double, Seq[T5Row]) = {
+  def tableV(spark: SparkSession, cfg: GraphGen.LiteConfig): (Double, Double, Seq[T5Row]) = {
     val g = cfg.generate()
-    log(s"graph ${cfg.name}: |V|=${g.numVertices} |E|=${g.numEdges} |L|=${g.numLabels}")
+    println(s"  graph ${cfg.name}: |V|=${g.numVertices} |E|=${g.numEdges} |L|=${g.numLabels}")
     val (index, itSec) = time(DistRlcIndexBuilder.build(spark, g, T5K))
-    log(f"RLC index built with k=$T5K in ${itSec}%.1fs, ${index.sizeInMB}%.1f MB, ${index.entryCount} entries")
+    println(f"  RLC index built with k=$T5K in ${itSec}%.1fs, ${index.sizeInMB}%.1f MB, ${index.entryCount} entries")
 
     val edges = g.toDF(spark).cache()
-    edges.count() // materialize: engines query a loaded graph
+    val rows = try {
+      edges.count() // materialize: engines query a loaded graph
 
-    val classes: Seq[(String, Seq[T5Query])] = Seq(
-      "Q1" -> genClass(g, 1, T5PerClass, 71),
-      "Q2" -> genClass(g, 2, T5PerClass, 72),
-      "Q3" -> genClass(g, 3, T5PerClass, 73),
-      "Q4" -> q4Queries(g, T5PerClass, 74),
-    )
+      val classes: Seq[(String, Seq[T5Query])] = Seq(
+        "Q1" -> genClass(g, 1, T5PerClass, 71),
+        "Q2" -> genClass(g, 2, T5PerClass, 72),
+        "Q3" -> genClass(g, 3, T5PerClass, 73),
+        "Q4" -> q4Queries(g, T5PerClass, 74),
+      )
 
-    val rows = classes.flatMap { case (cls, queries) =>
-      require(queries.nonEmpty, s"no queries generated for $cls")
-      // RLC per-query time: many repetitions for µs resolution
-      var blackhole = 0
-      val (_, rlcTotal) = time {
-        var r = 0
-        while (r < T5IndexReps) {
-          queries.foreach { q =>
-            val ans = if (q.isQ4) HybridEval.concatPlus(g, index, q.s, q.t, q.a, q.b)
-                      else index.query(q.s, q.t, q.mr)
-            if (ans) blackhole += 1
-          }
-          r += 1
-        }
-      }
-      val rlcSec = rlcTotal / (T5IndexReps.toLong * queries.size)
-      log(s"$cls: rlc per-query ${fmtSec(rlcSec)} (blackhole=$blackhole)")
-
-      val sysB = median(queries.map(q => time(NfaBfs.bfs(g, q.s, q.t, q.nfa))._2))
-      val sysC = median(queries.map(q => time(NfaBfs.bibfs(g, q.s, q.t, q.nfa))._2))
-      val sysA = {
-        val times = queries.take(sysAPerClass).flatMap { q =>
-          try {
-            val (df, sec) = time {
-              DistRlcEval.evaluateNfaBatch(spark, edges, Seq((q.s, q.t, q.nfa)),
-                budgetMs = sysABudgetMs)
+      classes.flatMap { case (cls, queries) =>
+        require(queries.nonEmpty, s"no queries generated for $cls")
+        // RLC per-query time: many repetitions for µs resolution
+        var blackhole = 0
+        val (_, rlcTotal) = time {
+          var r = 0
+          while (r < T5IndexReps) {
+            queries.foreach { q =>
+              val ans = if (q.isQ4) HybridEval.concatPlus(g, index, q.s, q.t, q.a, q.b)
+                        else index.query(q.s, q.t, q.mr)
+              if (ans) blackhole += 1
             }
-            df.collect()
-            Some(sec)
-          } catch { case _: java.util.concurrent.TimeoutException => None }
+            r += 1
+          }
         }
-        if (times.isEmpty) None else Some(median(times))
-      }
+        val rlcSec = rlcTotal / (T5IndexReps.toLong * queries.size)
+        println(s"  $cls: rlc per-query ${fmtSec(rlcSec)} (blackhole=$blackhole)")
 
-      def mkRow(engine: String, sec: Option[Double]): T5Row = {
-        val su = sec.map(_ / rlcSec)
-        val bep = sec.map(s => math.max(1L, math.ceil(itSec / math.max(1e-12, s - rlcSec)).toLong))
-        T5Row(cls, engine, sec, rlcSec, su, bep)
+        val sysB = median(queries.map(q => time(NfaBfs.bfs(g, q.s, q.t, q.nfa))._2))
+        val sysC = median(queries.map(q => time(NfaBfs.bibfs(g, q.s, q.t, q.nfa))._2))
+        val sysA = {
+          val times = queries.take(SysAPerClass).flatMap { q =>
+            try {
+              val (df, sec) = time {
+                DistRlcEval.evaluateNfaBatch(spark, edges, Seq((q.s, q.t, q.nfa)),
+                  budgetMs = SysABudgetMs)
+              }
+              df.collect()
+              Some(sec)
+            } catch { case _: java.util.concurrent.TimeoutException => None }
+          }
+          if (times.isEmpty) None else Some(median(times))
+        }
+
+        def mkRow(engine: String, sec: Option[Double]): T5Row = {
+          val su = sec.map(_ / rlcSec)
+          val bep = sec.map(s => math.max(1L, math.ceil(itSec / math.max(1e-12, s - rlcSec)).toLong))
+          T5Row(cls, engine, sec, rlcSec, su, bep)
+        }
+        Seq(mkRow("SysA", sysA), mkRow("SysB", Some(sysB)), mkRow("SysC", Some(sysC)))
       }
-      Seq(mkRow("SysA", sysA), mkRow("SysB", Some(sysB)), mkRow("SysC", Some(sysC)))
-    }
+    } finally edges.unpersist()
     (itSec, index.sizeInMB, rows)
   }
 
@@ -297,13 +296,14 @@ object Experiments {
                          bfsTrue: Double, bfsFalse: Double,
                          bibfsTrue: Double, bibfsFalse: Double)
 
-  def queryTime(spark: SparkSession, cfgs: Seq[GraphGen.LiteConfig], n: Int = 200,
-                log: String => Unit = _ => ()): Seq[QTRow] =
+  private val QTQueries = 200 // queries in each of the true and false sets
+
+  def queryTime(spark: SparkSession, cfgs: Seq[GraphGen.LiteConfig]): Seq[QTRow] =
     cfgs.map { cfg =>
       val g = cfg.generate()
       val (index, it) = time(DistRlcIndexBuilder.build(spark, g, 2))
-      log(f"${cfg.name}: index built in $it%.1fs")
-      val (trues, falses) = QueryGen.workload(g, n, len = 2, seed = 2024)
+      println(f"  ${cfg.name}: index built in $it%.1fs")
+      val (trues, falses) = QueryGen.workload(g, QTQueries, len = 2, seed = 2024)
 
       def rlcSet(qs: Seq[QueryGen.RlcQuery]): Double = {
         var bh = 0
