@@ -154,21 +154,19 @@ object Experiments {
   // Table V — speed-ups and break-even points over engine stand-ins, k = 3
   // =========================================================================
 
-  /** Paper Table V values for display: (engine, class) -> (SU, BEP). */
-  val paperT5: Map[(String, String), (String, String)] = Map(
-    ("Sys1", "Q1") -> ("1200x", "84100"), ("Sys1", "Q2") -> ("10400x", "34000"),
-    ("Sys1", "Q3") -> ("18400x", "9400"), ("Sys1", "Q4") -> ("34000x", "300"),
-    ("Sys2", "Q1") -> ("3000x", "34900"), ("Sys2", "Q2") -> ("202000x", "1700"),
-    ("Sys2", "Q3") -> ("1300000x", "130"), ("Sys2", "Q4") -> ("104000x", "98"),
-    ("Virtuoso", "Q1") -> ("597x", "180000"), ("Virtuoso", "Q2") -> ("4900x", "71700"),
-    ("Virtuoso", "Q3") -> ("38100000x", "5"), ("Virtuoso", "Q4") -> ("-", "-"),
-  )
-
-  /** Our engine stand-ins (DESIGN.md §3): SysA = Spark iterative-join
+  /** Paper Table V values for display: (engine, class) -> (SU, BEP), keyed
+    * by our engine stand-ins (DESIGN.md §3): SysA = Spark iterative-join
     * dataflow, SysB = NFA-guided BFS, SysC = NFA-guided BiBFS.
     */
-  val engineSubst: Map[String, String] =
-    Map("SysA" -> "Sys1", "SysB" -> "Sys2", "SysC" -> "Virtuoso")
+  val paperT5: Map[(String, String), (String, String)] = Map(
+    // the paper's engines: Sys1 -> SysA, Sys2 -> SysB, Virtuoso -> SysC
+    ("SysA", "Q1") -> ("1200x", "84100"), ("SysA", "Q2") -> ("10400x", "34000"),
+    ("SysA", "Q3") -> ("18400x", "9400"), ("SysA", "Q4") -> ("34000x", "300"),
+    ("SysB", "Q1") -> ("3000x", "34900"), ("SysB", "Q2") -> ("202000x", "1700"),
+    ("SysB", "Q3") -> ("1300000x", "130"), ("SysB", "Q4") -> ("104000x", "98"),
+    ("SysC", "Q1") -> ("597x", "180000"), ("SysC", "Q2") -> ("4900x", "71700"),
+    ("SysC", "Q3") -> ("38100000x", "5"), ("SysC", "Q4") -> ("-", "-"),
+  )
 
   final case class T5Query(s: Int, t: Int, nfa: Nfa, mr: Long, a: Int, b: Int, isQ4: Boolean)
 
@@ -219,6 +217,14 @@ object Experiments {
         "Q4" -> q4Queries(g, T5PerClass, 74),
       )
 
+      // (engine, queries timed per class, run); SysA collects inside the timer
+      val engines: Seq[(String, Int, T5Query => Any)] = Seq(
+        ("SysA", SysAPerClass, q => DistRlcEval.evaluateNfaBatch(spark, edges,
+          Seq((q.s, q.t, q.nfa)), budgetMs = SysABudgetMs).collect()),
+        ("SysB", T5PerClass, q => NfaBfs.bfs(g, q.s, q.t, q.nfa)),
+        ("SysC", T5PerClass, q => NfaBfs.bibfs(g, q.s, q.t, q.nfa)),
+      )
+
       classes.flatMap { case (cls, queries) =>
         require(queries.nonEmpty, s"no queries generated for $cls")
         // RLC per-query time: many repetitions for µs resolution
@@ -237,28 +243,16 @@ object Experiments {
         val rlcSec = rlcTotal / (T5IndexReps.toLong * queries.size)
         println(s"  $cls: rlc per-query ${fmtSec(rlcSec)} (blackhole=$blackhole)")
 
-        val sysB = median(queries.map(q => time(NfaBfs.bfs(g, q.s, q.t, q.nfa))._2))
-        val sysC = median(queries.map(q => time(NfaBfs.bibfs(g, q.s, q.t, q.nfa))._2))
-        val sysA = {
-          val times = queries.take(SysAPerClass).flatMap { q =>
-            try {
-              val (df, sec) = time {
-                DistRlcEval.evaluateNfaBatch(spark, edges, Seq((q.s, q.t, q.nfa)),
-                  budgetMs = SysABudgetMs)
-              }
-              df.collect()
-              Some(sec)
-            } catch { case _: java.util.concurrent.TimeoutException => None }
+        engines.map { case (engine, n, run) =>
+          val times = queries.take(n).flatMap { q =>
+            try Some(time(run(q))._2)
+            catch { case _: java.util.concurrent.TimeoutException => None }
           }
-          if (times.isEmpty) None else Some(median(times))
-        }
-
-        def mkRow(engine: String, sec: Option[Double]): T5Row = {
+          val sec = if (times.isEmpty) None else Some(median(times))
           val su = sec.map(_ / rlcSec)
           val bep = sec.map(s => math.max(1L, math.ceil(itSec / math.max(1e-12, s - rlcSec)).toLong))
           T5Row(cls, engine, sec, rlcSec, su, bep)
         }
-        Seq(mkRow("SysA", sysA), mkRow("SysB", Some(sysB)), mkRow("SysC", Some(sysC)))
       }
     } finally edges.unpersist()
     (itSec, index.sizeInMB, rows)
@@ -278,8 +272,7 @@ object Experiments {
     sb ++= f"   (index: k=$T5K, built in ${itSec}%.1fs, $sizeMB%.1f MB; paper: 5.9 min, 821 MB on full WN)\n"
     sb ++= f"${"class"}%-5s ${"engine"}%-6s ${"engine t"}%10s ${"RLC t"}%10s ${"SU"}%12s ${"BEP"}%10s | paper(SU, BEP)\n"
     rows.foreach { r =>
-      val paperKey = (engineSubst(r.engine), r.queryClass)
-      val p = paperT5(paperKey)
+      val p = paperT5((r.engine, r.queryClass))
       sb ++= f"${r.queryClass}%-5s ${r.engine}%-6s ${r.engineSec.map(fmtSec).getOrElse("-")}%10s " +
              f"${fmtSec(r.rlcSec)}%10s ${r.su.map(s => f"$s%.0fx").getOrElse("-")}%12s " +
              f"${r.bep.map(_.toString).getOrElse("-")}%10s | ${p._1}, ${p._2}\n"

@@ -45,9 +45,10 @@ object GraphGen {
   }
 
   /** Directed Erdős–Rényi G(n, m) with Zipf(2) labels. Self-loops excluded
-    * (inject with `withLoops` if needed).
+    * (inject with `withLoops` if needed), so edges need two vertices.
     */
   def er(n: Int, m: Int, nLabels: Int, seed: Long): LabeledGraph = {
+    require(n >= 2 || m == 0, s"er: $m loop-free edges need at least 2 vertices, got n=$n")
     val rng  = new SplittableRandom(seed)
     val zipf = new ZipfLabels(nLabels)
     val triples = new Array[(Int, Int, Int)](m)

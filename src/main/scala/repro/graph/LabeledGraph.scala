@@ -37,14 +37,10 @@ final class LabeledGraph private (
       (outOff(s) until outOff(s + 1)).iterator.map(i => (s, outLabel(i), outDst(i)))
     }
 
-  /** Spark view of the edge table: columns src, label, dst (all ints),
-    * repartitioned by label so per-label scans are partition-local.
-    */
+  /** Spark view of the edge table: columns src, label, dst (all ints). */
   def toDF(spark: SparkSession): DataFrame = {
     import spark.implicits._
-    val rows = edges.map { case (s, l, d) => (s, l, d) }.toSeq
-    spark.createDataset(rows).toDF("src", "label", "dst")
-      .repartition(math.min(spark.sparkContext.defaultParallelism, math.max(1, numLabels)), $"label")
+    spark.createDataset(edges.toSeq).toDF("src", "label", "dst")
   }
 }
 

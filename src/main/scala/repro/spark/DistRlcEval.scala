@@ -5,17 +5,18 @@ import org.apache.spark.sql.functions._
 import repro.baseline.Nfa
 
 /** Distributed online evaluation of RLC query batches as iterative
-  * DataFrame joins over a label-partitioned edge table — the product-graph
-  * BFS expressed as dataflow (the "answer RLC queries with iterative joins"
-  * half of the reproduction hint, and the SysA engine stand-in of Table V).
+  * DataFrame joins over a plain edge table, which the joins shuffle by
+  * `(src, label)` — the product-graph BFS expressed as dataflow (the
+  * "answer RLC queries with iterative joins" half of the reproduction hint,
+  * and the SysA engine stand-in of Table V).
   *
   * Each query carries its own automaton: `Nfa.kleenePlus` for `L^+`
   * (Q1–Q3) and `Nfa.concatPlus` for `a^+ ∘ b^+` (Q4), so one dataflow
-  * covers every query class. State relation: `(qid, v, st)`; the seed is
-  * the one-step expansion from each query's source and start state; each
-  * round joins the frontier with the per-query transition table and the
-  * edge table, semi-naive style (only newly discovered states expand).
-  * Lineage is cut with eager local checkpoints.
+  * covers every query class. State relation: `(qid, v, st)`. One `step`
+  * joins states with the per-query transition table and the edge table;
+  * the seed is the step from each query's source and start state, and each
+  * round steps the frontier, semi-naive style (only newly discovered states
+  * expand). Lineage is cut with eager local checkpoints.
   */
 object DistRlcEval {
 
@@ -45,51 +46,42 @@ object DistRlcEval {
     (q, trans, accepts)
   }
 
-  private val MaxIters = 100_000 // join rounds after which a batch stops expanding
-
   /** Evaluate a batch of `(s, t, nfa)` queries; returns (qid, answer), qid
-    * being the query's position in `queries`.
+    * being the query's position in `queries`. Throws a `TimeoutException`
+    * once a round starts after `budgetMs` (negative: no budget).
     */
   def evaluateNfaBatch(spark: SparkSession, edges: DataFrame,
                        queries: Seq[(Int, Int, Nfa)], budgetMs: Long = -1L): DataFrame = {
     val deadline = if (budgetMs < 0) Long.MaxValue else System.nanoTime() + budgetMs * 1_000_000L
-    val e = edges.select(col("src"), col("label"), col("dst"))
+    val e = edges.select(col("src").as("v"), col("label"), col("dst"))
     val (q, trans, accepts) = nfaTables(spark, queries)
-    q.cache(); trans.cache(); accepts.cache()
 
-    def step(frontier: DataFrame): DataFrame =
-      frontier
-        .join(trans, frontier("qid") === trans("qid") && trans("st") === frontier("st"))
-        .drop(trans("qid")).drop(trans("st"))
-        .join(e, col("src") === col("v") && e("label") === trans("label"))
-        .select(frontier("qid"), col("dst").as("v"), col("nst").as("st"))
+    /** The states one edge away from `states(qid, v, st)`. */
+    def step(states: DataFrame): DataFrame =
+      states.join(trans, Seq("qid", "st")).join(e, Seq("v", "label"))
+        .select(col("qid"), col("dst").as("v"), col("nst").as("st"))
         .distinct()
 
-    val seed = q
-      .join(trans, q("qid") === trans("qid") && trans("st") === q("start"))
-      .drop(trans("qid"))
-      .join(e, col("src") === col("s") && e("label") === trans("label"))
-      .select(q("qid"), col("dst").as("v"), col("nst").as("st"))
-      .distinct()
-
-    var visited  = seed.localCheckpoint(true)
+    val sources  = q.select(col("qid"), col("s").as("v"), col("start").as("st"))
+    var visited  = step(sources).localCheckpoint(true)
     var frontier = visited
-    var iters    = 0
-    while (frontier.count() > 0 && iters < MaxIters) {
+    var rounds   = 0
+    // every round adds a new state out of a finite set, so the loop ends
+    while (frontier.count() > 0) {
       if (System.nanoTime() > deadline)
-        throw new java.util.concurrent.TimeoutException(s"budget ${budgetMs}ms exceeded after $iters iterations")
+        throw new java.util.concurrent.TimeoutException(s"budget ${budgetMs}ms exceeded after $rounds rounds")
       val next = step(frontier)
         .join(visited, Seq("qid", "v", "st"), "left_anti")
         .localCheckpoint(true)
       visited = visited.union(next).localCheckpoint(true)
       frontier = next
-      iters += 1
+      rounds += 1
     }
 
     val hit = visited
-      .join(q, visited("qid") === q("qid") && col("v") === col("t"))
-      .join(accepts, visited("qid") === accepts("qid") && visited("st") === col("ast"))
-      .select(visited("qid"))
+      .join(q.select(col("qid"), col("t").as("v")), Seq("qid", "v"))
+      .join(accepts.select(col("qid"), col("ast").as("st")), Seq("qid", "st"))
+      .select("qid")
       .distinct()
       .withColumn("answer", lit(true))
 

@@ -5,9 +5,7 @@ import repro.graph.GraphGen.LiteConfig
 
 /** Smoke test of the table harnesses on one tiny graph, so a harness edit
   * is checked without the minutes-long bench suites. `tableIV` is left
-  * out because it always prepends the ADq ETC anchor, and `tableV` because
-  * its eight SysA Spark fixpoints take 18–33 s on a 4-vCPU host even on
-  * graphs of 100–300 vertices.
+  * out because it always prepends the ADq ETC anchor.
   */
 class ExperimentsSpec extends SparkSpec {
 
@@ -33,5 +31,19 @@ class ExperimentsSpec extends SparkSpec {
       assert(Seq(r.rlcTrue, r.rlcFalse, r.bfsTrue, r.bfsFalse, r.bibfsTrue, r.bibfsFalse).forall(_ > 0), r)
     }
     namesEveryRow(Experiments.renderQT(rows), rows.map(_.name))
+  }
+
+  test("tableV: every class × engine timed, SysA without timeout, rendered") {
+    val (itSec, sizeMB, rows) = Experiments.tableV(spark, tiny)
+    val classes = Seq("Q1", "Q2", "Q3", "Q4")
+    val engines = Seq("SysA", "SysB", "SysC")
+    assert(rows.map(r => (r.queryClass, r.engine)) == (for (c <- classes; e <- engines) yield (c, e)))
+    rows.foreach { r =>
+      assert(r.engineSec.exists(_ > 0) && r.su.isDefined && r.bep.isDefined, r)
+      assert(r.rlcSec > 0, r)
+    }
+    val lines = Experiments.renderT5(itSec, sizeMB, rows).linesIterator.map(_.split("\\s+").toSeq).toSeq
+    for (c <- classes; e <- engines)
+      assert(lines.exists(_.take(2) == Seq(c, e)), s"no rendered row for $c/$e")
   }
 }

@@ -15,6 +15,11 @@ class GraphGenSpec extends AnyFunSuite {
     assert(a.edges.toSet != c.edges.toSet)
   }
 
+  test("ER with edges but fewer than 2 vertices is rejected instead of looping") {
+    intercept[IllegalArgumentException](GraphGen.er(1, 1, 1, 0L))
+    assert(GraphGen.er(1, 0, 1, 0L).numEdges == 0)
+  }
+
   test("BA generator is deterministic in the seed") {
     val a = GraphGen.ba(500, 2000, 8, 42)
     val b = GraphGen.ba(500, 2000, 8, 42)
