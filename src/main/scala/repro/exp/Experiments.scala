@@ -174,8 +174,11 @@ object Experiments {
                          engineSec: Option[Double], rlcSec: Double,
                          su: Option[Double], bep: Option[Long])
 
-  /** Q4 workload: (s, t, a, b) with a^+ b^+, half satisfiable. */
-  private def q4Queries(g: LabeledGraph, n: Int, seed: Long): Seq[T5Query] = {
+  /** Q4 workload: (s, t, a, b) with a^+ b^+ and a != b; the first n/2 are
+    * satisfiable, the rest are not (fewer when n*400 draws do not find them).
+    */
+  private[exp] def q4Queries(g: LabeledGraph, n: Int, seed: Long): Seq[T5Query] = {
+    require(g.numLabels >= 2, s"a+∘b+ needs two distinct labels, graph has ${g.numLabels}")
     val rng = new SplittableRandom(seed)
     val out = scala.collection.mutable.ArrayBuffer.empty[T5Query]
     var trues = 0
@@ -187,7 +190,7 @@ object Experiments {
       var b = rng.nextInt(g.numLabels); while (b == a) b = rng.nextInt(g.numLabels)
       val nfa = Nfa.concatPlus(a, b, g.numLabels)
       val ans = NfaBfs.bfs(g, s, t, nfa).get
-      if (ans == (trues < n / 2) || out.size >= n / 2) {
+      if (ans == (trues < n / 2)) {
         out += T5Query(s, t, nfa, 0L, a, b, isQ4 = true); if (ans) trues += 1
       }
     }

@@ -7,13 +7,14 @@ import repro.graph.LabeledGraph
 /** Distributed construction of the RLC index.
   *
   * The sequential Algorithm 2 is inherently ordered: PR1 queries the index
-  * produced by all earlier searches. We parallelize it by processing
-  * vertices in access-id order in *batches*: within a batch, every root's
-  * backward+forward KBS runs as a Spark task with the builders' one insert
+  * produced by all earlier searches. We parallelize it in two steps. First
+  * a sequential head of the highest-ranked roots runs on the driver
+  * ([[RlcIndexBuilder.runRoots]]). Then every other root's backward+forward
+  * KBS runs as a Spark task, in one job, with the builders' one insert
   * protocol, a [[RootInserter]] whose Case-1 view is a frozen broadcast
-  * snapshot; the driver then appends each root's recorded entries in
-  * access-id order with [[RootInserter.append]], whose Case-1 re-check
-  * against the live index restores the condensed property.
+  * snapshot of the head's index; the driver appends each root's recorded
+  * entries in access-id order with [[RootInserter.append]], whose Case-1
+  * re-check against the live index restores the condensed property.
   *
   * Correctness (DESIGN.md §6): the frozen snapshot is a subset of the live
   * index, so in-flight PR1/PR3 prune strictly *less* than the sequential
@@ -21,63 +22,43 @@ import repro.graph.LabeledGraph
   * every in-flight prune was justified by entries that remain in the final
   * index.
   *
-  * Batches grow geometrically: early batches are small because a fresh
-  * snapshot matters most while the high-access-id hub entries are being
-  * laid down; later batches are large to amortize the broadcast.
+  * The head is where almost all mutual PR1 pruning happens: hubs searched
+  * against the same frozen snapshot cannot prune each other (on the WN
+  * analog, 38M candidates for the first 256 roots run in parallel, against
+  * 46K with a sequential head).
   */
 object DistRlcIndexBuilder {
 
-  /** @param seqHead number of highest-priority roots processed sequentially
-    *        on the driver before parallel batching begins; -1 picks
-    *        `max(64, |V|/64)` capped at 1024. The head is where almost all
-    *        mutual PR1 pruning happens — hubs processed in the same frozen
-    *        batch cannot prune each other, so batching them multiplies work
-    *        by orders of magnitude (measured on the WN analog: 38M
-    *        candidates for the first 256 roots batched vs 46K with a
-    *        sequential head; on the WB analog a 512-root head turns a 478s
-    *        build into 111s).
-    */
-  def build(spark: SparkSession, g: LabeledGraph, k: Int,
-            firstBatch: Int = 4096, maxBatch: Int = 65536,
-            seqHead: Int = -1): RlcIndex = {
-    require(k >= 1 && k <= LabelSeq.MaxLen)
+  def build(spark: SparkSession, g: LabeledGraph, k: Int): RlcIndex = {
+    require(k >= 1 && k <= LabelSeq.MaxLen, s"k=$k outside 1..${LabelSeq.MaxLen}")
     val sc = spark.sparkContext
     val (aid, order) = RlcIndexBuilder.accessOrder(g)
     val index = new RlcIndex(g.numVertices, k, aid)
 
-    val head = math.min(order.length,
-      if (seqHead >= 0) seqHead else math.min(1024, math.max(64, g.numVertices / 64)))
+    val head = math.min(1024, g.numVertices / 64)
     RlcIndexBuilder.runRoots(g, k, index, order.take(head).toIndexedSeq,
       new KbsScratch(g.numVertices, k))
 
+    val rest    = order.drop(head)
     val bcGraph = sc.broadcast(g)
-    var start = head
-    var batchSize = firstBatch
+    val bcSnap  = sc.broadcast(FlatRlcIndex.fromIndex(index))
+    val slices  = math.max(1, math.min(rest.length, sc.defaultParallelism * 4))
     try {
-      while (start < order.length) {
-        val batch  = order.slice(start, math.min(order.length, start + batchSize))
-        val bcSnap = sc.broadcast(FlatRlcIndex.fromIndex(index))
-        val slices = math.max(1, math.min(batch.length, sc.defaultParallelism * 4))
-        try {
-          // parallelize + collect preserve batch order, so roots merge in access-id order
-          sc.parallelize(batch.toIndexedSeq, slices)
-            .mapPartitions { roots =>
-              val graph   = bcGraph.value
-              val snap    = bcSnap.value
-              val scratch = new KbsScratch(graph.numVertices, k)
-              roots.map { root =>
-                val ins = new RootInserter(snap.aid, snap, root)
-                Kbs.run(graph, root, k, ins, scratch)
-                (root, ins.meta, ins.mrs, ins.n)
-              }
-            }
-            .collect()
-            .foreach { case (root, meta, mrs, n) => RootInserter.append(index, root, meta, mrs, n) }
-        } finally bcSnap.destroy()
-        start += batch.length
-        batchSize = math.min(maxBatch, batchSize * 2)
-      }
-    } finally bcGraph.destroy()
+      // parallelize + collect preserve root order, so roots merge in access-id order
+      sc.parallelize(rest.toIndexedSeq, slices)
+        .mapPartitions { roots =>
+          val graph   = bcGraph.value
+          val snap    = bcSnap.value
+          val scratch = new KbsScratch(graph.numVertices, k)
+          roots.map { root =>
+            val ins = new RootInserter(snap.aid, snap, root)
+            Kbs.run(graph, root, k, ins, scratch)
+            (root, ins.meta, ins.mrs, ins.n)
+          }
+        }
+        .collect()
+        .foreach { case (root, meta, mrs, n) => RootInserter.append(index, root, meta, mrs, n) }
+    } finally { bcSnap.destroy(); bcGraph.destroy() }
     index
   }
 }

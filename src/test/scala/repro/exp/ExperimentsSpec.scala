@@ -1,7 +1,9 @@
 package repro.exp
 
 import repro.SparkSpec
+import repro.baseline.NfaBfs
 import repro.graph.GraphGen.LiteConfig
+import repro.graph.LabeledGraph
 
 /** Smoke test of the table harnesses on one tiny graph, so a harness edit
   * is checked without the minutes-long bench suites. `tableIV` is left
@@ -45,5 +47,19 @@ class ExperimentsSpec extends SparkSpec {
     val lines = Experiments.renderT5(itSec, sizeMB, rows).linesIterator.map(_.split("\\s+").toSeq).toSeq
     for (c <- classes; e <- engines)
       assert(lines.exists(_.take(2) == Seq(c, e)), s"no rendered row for $c/$e")
+  }
+
+  test("q4Queries: exactly half satisfiable, the true ones first") {
+    val g = tiny.generate()
+    val qs = Experiments.q4Queries(g, 20, 74)
+    assert(qs.size == 20)
+    val answers = qs.map(q => NfaBfs.bfs(g, q.s, q.t, q.nfa).get)
+    assert(answers == Seq.fill(10)(true) ++ Seq.fill(10)(false), answers)
+    assert(qs.forall(q => q.isQ4 && q.a != q.b))
+  }
+
+  test("q4Queries rejects a graph with fewer than two labels") {
+    val g = LabeledGraph.fromEdges(3, 1, Array((0, 0, 1), (1, 0, 2)))
+    intercept[IllegalArgumentException](Experiments.q4Queries(g, 4, 74))
   }
 }
