@@ -1,8 +1,7 @@
 package repro.core
 
-/** Query primitives over entry ranges sorted by access id — shared by the
-  * mutable [[RlcIndex]] and the immutable flat snapshot the distributed
-  * builder broadcasts, so Algorithm 1 exists exactly once.
+/** Query primitives over entry ranges sorted by access id: Algorithm 1's
+  * Case-2 lookup and Case-1 merge join over [[RlcIndex]] lists.
   */
 object EntryOps {
 

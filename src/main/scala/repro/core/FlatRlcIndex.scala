@@ -2,9 +2,9 @@ package repro.core
 
 /** Immutable CSR-packed snapshot of an [[RlcIndex]] — cheap to serialize
   * and broadcast (six flat arrays instead of 2·|V| objects). The distributed
-  * builder's tasks need only its Case-1 join, the same [[EntryOps]] merge
-  * join as the live index's: no snapshot entry can answer their PR1 by
-  * Case 2 (see [[RootInserter]]).
+  * builder's tasks read it only as the [[CaseOne]] view of their
+  * [[RootInserter]]s: `L_out(v)` is `outHops/outMrs[outOff(v), outOff(v+1))`,
+  * `L_in(v)` likewise.
   */
 final class FlatRlcIndex(
     val aid: Array[Int],
@@ -12,9 +12,10 @@ final class FlatRlcIndex(
     val inOff: Array[Int], val inHops: Array[Int], val inMrs: Array[Long],
 ) extends CaseOne with Serializable {
 
-  def caseOneJoin(s: Int, t: Int, mr: Long): Boolean =
-    EntryOps.mergeJoin(aid, outHops, outMrs, outOff(s), outOff(s + 1),
-      inHops, inMrs, inOff(t), inOff(t + 1), mr)
+  def hops(v: Int, out: Boolean): Array[Int] = if (out) outHops else inHops
+  def mrs(v: Int, out: Boolean): Array[Long] = if (out) outMrs else inMrs
+  def from(v: Int, out: Boolean): Int = if (out) outOff(v) else inOff(v)
+  def to(v: Int, out: Boolean): Int = if (out) outOff(v + 1) else inOff(v + 1)
 }
 
 object FlatRlcIndex {

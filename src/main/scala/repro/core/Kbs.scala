@@ -19,12 +19,23 @@ trait Inserter {
   def insertIn(y: Int, mr: Long): Boolean
 }
 
-/** Reusable per-thread scratch space: a stamped visited array over
-  * `(vertex, phase)` product states plus growable queues, so a full index
-  * build allocates almost nothing per vertex searched.
+/** Reusable per-thread scratch space, so a full index build allocates
+  * nothing per visit:
+  *
+  *  - a stamped visited array over `(vertex, phase)` product states and
+  *    growable queues (kernel-search and kernel-BFS);
+  *  - the kernel map of one search: kernel code → slot, slots numbered in
+  *    first-seen order, each with a reusable frontier array;
+  *  - one search root's [[RootInserter]] state: the probe tables of the
+  *    root's own lists, the own-entry chains and the recorded entries.
+  *    One inserter at a time may use a scratch.
+  *
+  * Every table is stamped (per kernel-BFS, per search, per root), so none
+  * is ever cleared, and one scratch can serve any number of roots and
+  * builds over graphs of at most `numVertices` vertices and k at most `k`.
   */
 final class KbsScratch(val numVertices: Int, val k: Int) {
-  require(numVertices.toLong * k < Int.MaxValue, "product state space too large")
+  require(numVertices.toLong * math.max(k, 4) < Int.MaxValue, "product state space too large")
   val visit = new Array[Int](numVertices * k)
   var stamp = 0
 
@@ -41,6 +52,81 @@ final class KbsScratch(val numVertices: Int, val k: Int) {
 
   def growBfs(needed: Int): Unit =
     if (needed > bq.length) bq = java.util.Arrays.copyOf(bq, math.max(needed, bq.length * 2))
+
+  // ---- kernel map: open addressing with linear probing; a cell holds
+  // (search stamp << 32 | slot) and is live only under the current stamp ----
+  private var kmCells = new Array[Long](2 * KbsScratch.InitialKernels)
+  private var kmStamp = 0
+  private[core] var kernels    = new Array[Long](KbsScratch.InitialKernels) // slot -> kernel code
+  private[core] var frontiers  = Array.fill(KbsScratch.InitialKernels)(new Array[Int](8)) // slot -> vertices
+  private[core] var frontierN  = new Array[Int](KbsScratch.InitialKernels)  // slot -> frontier size
+  private[core] var numKernels = 0
+
+  /** Start a search with an empty kernel map. */
+  private[core] def clearKernels(): Unit = { kmStamp += 1; numKernels = 0 }
+
+  /** Register `v` as a frontier vertex of kernel candidate `kernel`. */
+  private[core] def addFrontier(kernel: Long, v: Int): Unit = {
+    val s = kernelSlot(kernel)
+    val c = frontierN(s)
+    if (c == frontiers(s).length) frontiers(s) = java.util.Arrays.copyOf(frontiers(s), c * 2)
+    frontiers(s)(c) = v
+    frontierN(s) = c + 1
+  }
+
+  /** The cell of `kernel` in the map, or the free cell where it goes. */
+  private def cell(kernel: Long): Int = {
+    val mask = kmCells.length - 1
+    var pos = KbsScratch.hash(kernel) & mask
+    while ((kmCells(pos) >>> 32).toInt == kmStamp && kernels(kmCells(pos).toInt) != kernel)
+      pos = (pos + 1) & mask
+    pos
+  }
+
+  private def kernelSlot(kernel: Long): Int = {
+    val pos = cell(kernel)
+    if ((kmCells(pos) >>> 32).toInt == kmStamp) return kmCells(pos).toInt
+    val s = numKernels
+    if (s == kernels.length) {
+      kernels = java.util.Arrays.copyOf(kernels, s * 2)
+      frontierN = java.util.Arrays.copyOf(frontierN, s * 2)
+      frontiers = Array.tabulate(s * 2)(i => if (i < s) frontiers(i) else new Array[Int](8))
+    }
+    kernels(s) = kernel
+    frontierN(s) = 0
+    numKernels = s + 1
+    kmCells(pos) = kmStamp.toLong << 32 | s
+    if (2 * numKernels > kmCells.length) { // keep the load at most 1/2
+      kmCells = new Array[Long](kmCells.length * 2)
+      for (i <- 0 until numKernels) kmCells(cell(kernels(i))) = kmStamp.toLong << 32 | i
+    }
+    s
+  }
+
+  // ---- RootInserter state ----
+  private[core] var rootStamp = 0 // roots begun on this scratch
+  private[core] val inProbe  = new Array[Int](3 * numVertices) // hop -> (root stamp, from, to) in L_in(root)
+  private[core] val outProbe = new Array[Int](3 * numVertices) // hop -> (root stamp, from, to) in L_out(root)
+  private[core] val ownHead  = new Array[Int](4 * numVertices) // 2*vertex+dir -> (root stamp, latest own entry)
+  // recorded entries: vertex (bit 30 set for L_out), MR, earlier own entry of the same list or -1
+  private[core] var meta = new Array[Int](16)
+  private[core] var mrs  = new Array[Long](16)
+  private[core] var next = new Array[Int](16)
+
+  private[core] def growRecorded(needed: Int): Unit =
+    if (needed > meta.length) {
+      val cap = math.max(needed, meta.length * 2)
+      meta = java.util.Arrays.copyOf(meta, cap)
+      mrs  = java.util.Arrays.copyOf(mrs, cap)
+      next = java.util.Arrays.copyOf(next, cap)
+    }
+}
+
+object KbsScratch {
+  /** Kernel slots before the kernel map first grows. */
+  val InitialKernels = 32
+
+  private def hash(kernel: Long): Int = ((kernel * 0x9E3779B97F4A7C15L) >>> 32).toInt
 }
 
 /** Eager kernel-based search (paper Sec. IV + Algorithm 2).
@@ -70,15 +156,6 @@ object Kbs {
   def forward(g: LabeledGraph, root: Int, k: Int, ins: Inserter, scratch: KbsScratch): Unit =
     search(g, root, k, ins, scratch, forwardDir = true)
 
-  private final class Frontier {
-    var vs: Array[Int] = new Array[Int](8)
-    var n: Int = 0
-    def add(v: Int): Unit = {
-      if (n == vs.length) vs = java.util.Arrays.copyOf(vs, vs.length * 2)
-      vs(n) = v; n += 1
-    }
-  }
-
   private def search(g: LabeledGraph, root: Int, k: Int, ins: Inserter,
                      scratch: KbsScratch, forwardDir: Boolean): Unit = {
     val adjOff   = if (forwardDir) g.outOff else g.inOff
@@ -86,7 +163,7 @@ object Kbs {
     val adjLabel = if (forwardDir) g.outLabel else g.inLabel
 
     // ---- kernel-search (depth <= k, all paths) ----
-    val kernels = new java.util.HashMap[java.lang.Long, Frontier]()
+    scratch.clearKernels()
     scratch.growSearch(1)
     scratch.qv(0) = root; scratch.qs(0) = LabelSeq.Empty
     var head = 0
@@ -104,9 +181,7 @@ object Kbs {
         val seq2 = if (forwardDir) LabelSeq.append(seq, l) else LabelSeq.prepend(l, seq)
         val m    = LabelSeq.mr(seq2)
         if (forwardDir) ins.insertIn(y, m) else ins.insertOut(y, m)
-        var f = kernels.get(m)
-        if (f == null) { f = new Frontier; kernels.put(m, f) }
-        f.add(y)
+        scratch.addFrontier(m, y)
         if (len + 1 < k) {
           scratch.growSearch(tail + 1)
           scratch.qv(tail) = y; scratch.qs(tail) = seq2
@@ -116,16 +191,17 @@ object Kbs {
       }
     }
 
-    // ---- kernel-BFS per kernel candidate ----
-    val it = kernels.entrySet().iterator()
-    while (it.hasNext) {
-      val e = it.next()
-      kernelBfs(g, root, k, e.getKey.longValue(), e.getValue, ins, scratch, forwardDir,
-        adjOff, adjVert, adjLabel)
+    // ---- kernel-BFS per kernel candidate, in first-seen order ----
+    var s = 0
+    while (s < scratch.numKernels) {
+      kernelBfs(g, root, k, scratch.kernels(s), scratch.frontiers(s), scratch.frontierN(s), ins,
+        scratch, forwardDir, adjOff, adjVert, adjLabel)
+      s += 1
     }
   }
 
-  private def kernelBfs(g: LabeledGraph, root: Int, k: Int, kernel: Long, frontier: Frontier,
+  private def kernelBfs(g: LabeledGraph, root: Int, k: Int, kernel: Long,
+                        frontier: Array[Int], frontierSize: Int,
                         ins: Inserter, scratch: KbsScratch, forwardDir: Boolean,
                         adjOff: Array[Int], adjVert: Array[Int], adjLabel: Array[Int]): Unit = {
     val m = LabelSeq.length(kernel)
@@ -136,8 +212,8 @@ object Kbs {
     var head = 0
     var tail = 0
     var i = 0
-    while (i < frontier.n) {
-      val v  = frontier.vs(i)
+    while (i < frontierSize) {
+      val v  = frontier(i)
       val st = v * k // phase 0
       if (visit(st) != stamp) {
         visit(st) = stamp

@@ -48,6 +48,12 @@ final class RlcIndex(
   def addOut(v: Int, hop: Int, mr: Long): Unit = out(v).add(hop, mr)
   def addIn(v: Int, hop: Int, mr: Long): Unit  = in(v).add(hop, mr)
 
+  private def list(v: Int, out: Boolean): EntryList = if (out) this.out(v) else in(v)
+  def hops(v: Int, out: Boolean): Array[Int] = list(v, out).hops
+  def mrs(v: Int, out: Boolean): Array[Long] = list(v, out).mrs
+  def from(v: Int, out: Boolean): Int = 0
+  def to(v: Int, out: Boolean): Int = list(v, out).n
+
   def outContains(s: Int, hop: Int, mr: Long): Boolean = {
     val l = out(s); EntryOps.contains(aid, l.hops, l.mrs, 0, l.n, hop, mr)
   }

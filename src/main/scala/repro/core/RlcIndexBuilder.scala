@@ -43,7 +43,7 @@ object RlcIndexBuilder {
   def runRoots(g: LabeledGraph, k: Int, index: RlcIndex, roots: Seq[Int],
                scratch: KbsScratch): Unit =
     roots.foreach { root =>
-      val ins = new RootInserter(index.aid, index, root)
+      val ins = new RootInserter(index, root, scratch)
       Kbs.run(g, root, k, ins, scratch)
       RootInserter.append(index, root, ins.meta, ins.mrs, ins.n)
     }

@@ -47,18 +47,23 @@ object DistRlcIndexBuilder {
       // parallelize + collect preserve root order, so roots merge in access-id order
       sc.parallelize(rest.toIndexedSeq, slices)
         .mapPartitions { roots =>
-          val graph   = bcGraph.value
-          val snap    = bcSnap.value
-          val scratch = new KbsScratch(graph.numVertices, k)
-          roots.map { root =>
-            val ins = new RootInserter(snap.aid, snap, root)
-            Kbs.run(graph, root, k, ins, scratch)
-            (root, ins.meta, ins.mrs, ins.n)
-          }
+          val graph = bcGraph.value
+          searchRoots(graph, k, bcSnap.value, roots, new KbsScratch(graph.numVertices, k))
         }
         .collect()
-        .foreach { case (root, meta, mrs, n) => RootInserter.append(index, root, meta, mrs, n) }
+        .foreach { case (root, meta, mrs) => RootInserter.append(index, root, meta, mrs, meta.length) }
     } finally { bcSnap.destroy(); bcGraph.destroy() }
     index
   }
+
+  /** One task's work: search `roots` in order against the frozen `view`,
+    * all with one `scratch`; each root's recorded entries, copied out of it.
+    */
+  private[spark] def searchRoots(g: LabeledGraph, k: Int, view: CaseOne, roots: Iterator[Int],
+                                 scratch: KbsScratch): Iterator[(Int, Array[Int], Array[Long])] =
+    roots.map { root =>
+      val ins = new RootInserter(view, root, scratch)
+      Kbs.run(g, root, k, ins, scratch)
+      (root, java.util.Arrays.copyOf(ins.meta, ins.n), java.util.Arrays.copyOf(ins.mrs, ins.n))
+    }
 }

@@ -12,8 +12,9 @@ import repro.graph.LabeledGraph
   * seeded random graphs: for every vertex pair and every primitive
   * constraint of length <= k, the index answer must equal an independent
   * brute-force product-graph search. Also checks the condensed property,
-  * the flat snapshot, and that the builder keeps exactly the entries of
-  * the paper's literal protocol ([[LiveQueryInserter]]).
+  * the flat snapshot, reuse of one scratch across roots and builds, and
+  * that the builder keeps exactly the entries of the paper's literal
+  * protocol ([[LiveQueryInserter]]).
   */
 class RlcIndexBuilderSpec extends AnyFunSuite {
   import RlcIndexBuilderSpec._
@@ -88,13 +89,17 @@ class RlcIndexBuilderSpec extends AnyFunSuite {
   }
 
   test("flat snapshot answers exactly like the live index") {
-    // the snapshot serves only Case 1 (the distributed builder's task PR1)
+    // the snapshot serves only as a task's CaseOne view, so equal lists mean equal PR1 answers
     val g = TestGraphs.random(99, n = 22, e = 70, labels = 3)
     val index = RlcIndexBuilder.build(g, 2)
     val snap  = FlatRlcIndex.fromIndex(index)
-    for (s <- 0 until g.numVertices; t <- 0 until g.numVertices;
-         mr <- BruteForce.primitives(3, 2))
-      assert(snap.caseOneJoin(s, t, mr) == index.caseOneJoin(s, t, mr), s"s=$s t=$t ${LabelSeq.show(mr)}")
+    def list(view: CaseOne, v: Int, out: Boolean): Seq[(Int, Long)] = {
+      val (from, to) = (view.from(v, out), view.to(v, out))
+      view.hops(v, out).slice(from, to).toSeq.zip(view.mrs(v, out).slice(from, to))
+    }
+    assert(index.entryCount > 0)
+    for (v <- 0 until g.numVertices; out <- Seq(true, false))
+      assert(list(snap, v, out) == list(index, v, out), s"v=$v out=$out")
   }
 
   test("condensed property holds on a batch of random graphs") {
@@ -121,6 +126,45 @@ class RlcIndexBuilderSpec extends AnyFunSuite {
   private def entryLists(ix: RlcIndex): IndexedSeq[(Seq[(Int, Long)], Seq[(Int, Long)])] = {
     def list(l: EntryList) = l.hops.take(l.n).toSeq.zip(l.mrs.take(l.n))
     (0 until ix.numVertices).map(v => (list(ix.out(v)), list(ix.in(v))))
+  }
+
+  /** `g`'s index built with a new scratch for every root. */
+  private def freshScratchBuild(g: LabeledGraph, k: Int): RlcIndex = {
+    val (aid, order) = RlcIndexBuilder.accessOrder(g)
+    val index = new RlcIndex(g.numVertices, k, aid)
+    order.foreach(root => RlcIndexBuilder.runRoots(g, k, index, Seq(root), new KbsScratch(g.numVertices, k)))
+    index
+  }
+
+  test("one KbsScratch serves runRoots over several graphs in a row: entry lists as with fresh scratch") {
+    // stamps, probe tables and own-entry chains must not leak between roots or builds
+    val runs = Seq(
+      (TestGraphs.random(41, n = 30, e = 110, labels = 3), 3),
+      (TestGraphs.smallBa(42, n = 30, e = 120, labels = 3), 3),
+      (TestGraphs.random(43, n = 22, e = 80, labels = 2), 2),
+      (TestGraphs.random(41, n = 30, e = 110, labels = 3), 3),
+    )
+    val scratch = new KbsScratch(30, 3)
+    for (((g, k), i) <- runs.zipWithIndex) {
+      val (aid, order) = RlcIndexBuilder.accessOrder(g)
+      val index = new RlcIndex(g.numVertices, k, aid)
+      RlcIndexBuilder.runRoots(g, k, index, order.toIndexedSeq, scratch)
+      assert(index.entryCount > 0, s"run $i")
+      assert(entryLists(index) == entryLists(freshScratchBuild(g, k)), s"run $i")
+    }
+  }
+
+  test("kernel map grows past its initial capacity: literal Algorithm 2's entry lists, brute-force answers") {
+    val g = TestGraphs.random(7, n = 8, e = 120, labels = 16)
+    val k = 3
+    val (aid, order) = RlcIndexBuilder.accessOrder(g)
+    val index   = new RlcIndex(g.numVertices, k, aid)
+    val scratch = new KbsScratch(g.numVertices, k)
+    RlcIndexBuilder.runRoots(g, k, index, order.toIndexedSeq, scratch)
+    assert(scratch.kernels.length > KbsScratch.InitialKernels, "no single search outgrew the kernel map")
+    assert(entryLists(index) == entryLists(LiveQueryInserter.build(g, k)))
+    for (s <- 0 until g.numVertices; t <- 0 until g.numVertices; mr <- BruteForce.primitives(16, k))
+      assert(index.query(s, t, mr) == BruteForce.reach(g, s, t, mr), s"s=$s t=$t ${LabelSeq.show(mr)}")
   }
 
   test("property: RlcIndexBuilder keeps the literal Algorithm 2's entry lists, in order") {

@@ -2,7 +2,7 @@ package repro.spark
 
 import repro.{SparkSpec, TestGraphs}
 import repro.baseline.BruteForce
-import repro.core.{LabelSeq, RlcIndex, RlcIndexBuilder}
+import repro.core.{FlatRlcIndex, KbsScratch, LabelSeq, RlcIndex, RlcIndexBuilder}
 
 /** The distributed builder must answer exactly like brute force, stay
   * condensed and keep the sequential Algorithm 2's entry set. On these
@@ -37,6 +37,26 @@ class DistRlcIndexBuilderSpec extends SparkSpec {
       assert(dist.condensedViolations == 0L, "distributed index must stay condensed")
       assert(entrySet(dist) == entrySet(seq))
     }
+
+  test("one scratch serves every root of a Spark partition: task output as with a fresh scratch per root") {
+    val g = TestGraphs.random(21, n = 60, e = 200, labels = 3)
+    val k = 2
+    val (aid, order) = RlcIndexBuilder.accessOrder(g)
+    val head = new RlcIndex(g.numVertices, k, aid)
+    RlcIndexBuilder.runRoots(g, k, head, order.take(4).toIndexedSeq, new KbsScratch(g.numVertices, k))
+    val snap = FlatRlcIndex.fromIndex(head)
+    val rest = order.drop(4).toIndexedSeq
+    def entries(out: Array[(Int, Array[Int], Array[Long])]) =
+      out.toSeq.map { case (root, meta, mrs) => (root, meta.toSeq, mrs.toSeq) }
+    val shared = spark.sparkContext.parallelize(rest, 2)
+      .mapPartitions(roots => DistRlcIndexBuilder.searchRoots(g, k, snap, roots, new KbsScratch(g.numVertices, k)))
+      .collect()
+    val fresh = rest.map { root =>
+      DistRlcIndexBuilder.searchRoots(g, k, snap, Iterator(root), new KbsScratch(g.numVertices, k)).next()
+    }.toArray
+    assert(shared.map(_._3.length).sum > 0)
+    assert(entries(shared) == entries(fresh))
+  }
 
   test("k=3 distributed build on a cyclic graph") {
     val g = TestGraphs.random(11, n = 15, e = 45, labels = 2)
