@@ -1,6 +1,6 @@
 package repro.baseline
 
-import repro.core.{Inserter, Kbs, KbsScratch, LabelSeq}
+import repro.core.{Inserter, Kbs, KbsScratch}
 import repro.graph.LabeledGraph
 
 /** Extended transitive closure (paper Sec. VI-a): for every reachable pair
@@ -50,7 +50,6 @@ object Etc {
     */
   def build(g: LabeledGraph, k: Int, budgetMs: Long = -1L,
             maxMrEntries: Long = 500_000_000L): Option[Etc] = {
-    require(k >= 1 && k <= LabelSeq.MaxLen)
     val etc      = new Etc(k)
     val scratch  = new KbsScratch(g.numVertices, k)
     val deadline = if (budgetMs < 0) Long.MaxValue else System.nanoTime() + budgetMs * 1_000_000L

@@ -11,7 +11,7 @@ import repro.core.LabelSeq
   *  - `concatPlus(a, b)`: accepts `a^+ ∘ b^+` (the paper's extended query Q4).
   *
   * Both are DFAs going forward; `reversed` transitions (used by the
-  * backward half of BiBFS) are nondeterministic and exposed as lists.
+  * backward half of BiBFS) are nondeterministic and exposed as arrays.
   */
 final class Nfa(
     val numStates: Int,
@@ -22,11 +22,11 @@ final class Nfa(
 ) extends Serializable {
 
   /** reversed(q)(l) = states p with trans(p)(l) == q. */
-  val reversed: Array[Array[List[Int]]] = {
-    val r = Array.fill(numStates, trans(0).length)(List.empty[Int])
+  val reversed: Array[Array[Array[Int]]] = {
+    val r = Array.fill(numStates, trans(0).length)(Array.emptyIntArray)
     for (p <- 0 until numStates; l <- trans(p).indices) {
       val q = trans(p)(l)
-      if (q >= 0) r(q)(l) ::= p
+      if (q >= 0) r(q)(l) :+= p
     }
     r
   }

@@ -3,14 +3,14 @@ package repro.baseline
 import repro.graph.LabeledGraph
 
 /** Online traversal baselines of the paper (Sec. VI-a): NFA-guided BFS and
-  * bidirectional BFS over the product of the graph and the query automaton;
-  * also the `L^+` walk that query generation and the hybrid Q4 share.
+  * bidirectional BFS over the product of the graph and the query automaton,
+  * one search whose backward side BFS never expands; also the `L^+` walk
+  * that query generation and the hybrid Q4 share.
   *
   * State space is `(vertex, automaton state)` packed as the Int
   * `v * numStates + q` (a larger product is rejected, not wrapped), visited
   * sets are flat bitsets, so a query costs O(|V| * |Q| + |E| * |Q|)
-  * worst case. An optional step budget lets benches enforce the paper's
-  * per-query timeouts.
+  * worst case. An optional edge budget bounds a query's work.
   */
 object NfaBfs {
 
@@ -55,98 +55,88 @@ object NfaBfs {
     false
   }
 
-  /** Forward NFA-guided BFS: does an accepting path s -> t exist?
-    *
-    * @param budget max product-state expansions before giving up; a negative
-    *               budget means unlimited. Returns None on budget exhaustion
-    *               (the bench treats that as a timeout), Some(answer) else.
+  /** Forward NFA-guided BFS (SysB): [[search]] with the backward side frozen.
+    * `budget` caps the edges scanned, checked per expanded state (negative:
+    * no cap); None when it runs out, which the bench treats as a timeout.
     */
-  def bfs(g: LabeledGraph, s: Int, t: Int, nfa: Nfa, budget: Long = -1L): Option[Boolean] = {
-    val q       = nfa.numStates
+  def bfs(g: LabeledGraph, s: Int, t: Int, nfa: Nfa, budget: Long = -1L): Option[Boolean] =
+    search(g, s, t, nfa, budget, bidirectional = false)
+
+  /** Bidirectional NFA-guided BFS (SysC); `budget` as for [[bfs]]. */
+  def bibfs(g: LabeledGraph, s: Int, t: Int, nfa: Nfa, budget: Long = -1L): Option[Boolean] =
+    search(g, s, t, nfa, budget, bidirectional = true)
+
+  /** Level-synchronous search of the product graph from both ends: forward
+    * by the DFA over out-edges from `(s, start)`, backward by the reversed
+    * (nondeterministic) automaton over in-edges from every `(t, accepting)`.
+    * Each round expands the smaller frontier, or always the forward one when
+    * not `bidirectional`; true as soon as a side reaches the other's states.
+    */
+  private def search(g: LabeledGraph, s: Int, t: Int, nfa: Nfa, budget: Long,
+                     bidirectional: Boolean): Option[Boolean] = {
+    val q = nfa.numStates
     require(g.numVertices.toLong * q <= Int.MaxValue, "product state space too large")
-    val visited = new java.util.BitSet(g.numVertices * q)
-    val queue   = new java.util.ArrayDeque[Integer]()
-    var steps   = 0L
-
-    def push(state: Int): Unit =
-      if (!visited.get(state)) { visited.set(state); queue.add(state) }
-
-    push(s * q + nfa.start)
-    while (!queue.isEmpty) {
-      val st = queue.poll().intValue()
-      val v  = st / q
-      val a  = st % q
-      if (v == t && nfa.accept(a)) return Some(true)
-      var i = g.outOff(v)
-      val end = g.outOff(v + 1)
-      while (i < end) {
-        val nxt = nfa.trans(a)(g.outLabel(i))
-        if (nxt >= 0) push(g.outDst(i) * q + nxt)
-        steps += 1
+    val seen = new Array[Long](((g.numVertices.toLong * q + 31) >>> 5).toInt)
+    val fwd  = new Side(seen, q, 1L); val bwd = new Side(seen, q, 2L)
+    fwd.reach(s, nfa.start); fwd.advance()
+    if (nfa.acceptStates.exists(a => bwd.reach(t, a))) return Some(true)
+    bwd.advance()
+    var steps = 0L
+    while (fwd.n > 0 && bwd.n > 0) {
+      val forward = !bidirectional || fwd.n <= bwd.n
+      val side = if (forward) fwd else bwd
+      val off  = if (forward) g.outOff else g.inOff
+      var j = 0
+      while (j < side.n) {
+        val v = side.cur(j); val a = side.cur(j + 1)
+        var i = off(v); val end = off(v + 1)
+        steps += end - i
         if (budget >= 0 && steps > budget) return None
-        i += 1
+        if (forward) {
+          val row = nfa.trans(a)
+          while (i < end) {
+            val na = row(g.outLabel(i))
+            if (na >= 0 && fwd.reach(g.outDst(i), na)) return Some(true)
+            i += 1
+          }
+        } else {
+          val row = nfa.reversed(a)
+          while (i < end) {
+            val ps = row(g.inLabel(i)); var k = 0
+            while (k < ps.length) { if (bwd.reach(g.inSrc(i), ps(k))) return Some(true); k += 1 }
+            i += 1
+          }
+        }
+        j += 2
       }
+      side.advance()
     }
     Some(false)
   }
 
-  /** Bidirectional NFA-guided BFS. The forward side runs the DFA; the
-    * backward side runs the reversed (nondeterministic) automaton from all
-    * accepting states at `t`. The smaller frontier expands each round; the
-    * answer is true as soon as the two visited sets share a product state.
+  /** One side of [[search]]: its frontier, `(vertex, state)` pairs in
+    * `cur(0 until n)`, the next one it builds, and its `bit` (1 forward, 2
+    * backward). State `st = v * q + a` owns bits `2 * (st % 32)` and the one
+    * above in word `st / 32` of `seen`, which both sides share, so one load
+    * tests the meet and this side's visit.
     */
-  def bibfs(g: LabeledGraph, s: Int, t: Int, nfa: Nfa, budget: Long = -1L): Option[Boolean] = {
-    val q  = nfa.numStates
-    require(g.numVertices.toLong * q <= Int.MaxValue, "product state space too large")
-    val vf = new java.util.BitSet(g.numVertices * q)
-    val vb = new java.util.BitSet(g.numVertices * q)
-    var frontF = List(s * q + nfa.start)
-    var frontB = nfa.acceptStates.map(a => t * q + a).toList
-    frontF.foreach(vf.set)
-    frontB.foreach(vb.set)
-    if (frontF.exists(vb.get) || frontB.exists(vf.get)) return Some(true)
-    var steps = 0L
+  private final class Side(seen: Array[Long], q: Int, bit: Long) {
+    var cur = new Array[Int](16); var n = 0
+    private var next = new Array[Int](16); private var m = 0
 
-    while (frontF.nonEmpty && frontB.nonEmpty) {
-      if (frontF.size <= frontB.size) {
-        var next = List.empty[Int]
-        for (st <- frontF) {
-          val v = st / q; val a = st % q
-          var i = g.outOff(v); val end = g.outOff(v + 1)
-          while (i < end) {
-            val na = nfa.trans(a)(g.outLabel(i))
-            if (na >= 0) {
-              val ns = g.outDst(i) * q + na
-              if (vb.get(ns)) return Some(true)
-              if (!vf.get(ns)) { vf.set(ns); next ::= ns }
-            }
-            steps += 1
-            if (budget >= 0 && steps > budget) return None
-            i += 1
-          }
-        }
-        frontF = next
-      } else {
-        var next = List.empty[Int]
-        for (st <- frontB) {
-          val v = st / q; val a = st % q
-          var i = g.inOff(v); val end = g.inOff(v + 1)
-          while (i < end) {
-            var preds = nfa.reversed(a)(g.inLabel(i))
-            while (preds.nonEmpty) {
-              val ns = g.inSrc(i) * q + preds.head
-              preds = preds.tail
-              if (vf.get(ns)) return Some(true)
-              if (!vb.get(ns)) { vb.set(ns); next ::= ns }
-            }
-            steps += 1
-            if (budget >= 0 && steps > budget) return None
-            i += 1
-          }
-        }
-        frontB = next
+    /** True if the other side visited `(v, a)`; else queue it if this side had not. */
+    def reach(v: Int, a: Int): Boolean = {
+      val st = v * q + a
+      val w  = seen(st >>> 5) >>> (st << 1) // a Long shift reads its low 6 bits
+      if ((w & (bit ^ 3L)) != 0) return true
+      if ((w & bit) == 0) {
+        seen(st >>> 5) |= bit << (st << 1)
+        if (m == next.length) next = java.util.Arrays.copyOf(next, 2 * m)
+        next(m) = v; next(m + 1) = a; m += 2
       }
+      false
     }
-    Some(false)
+
+    def advance(): Unit = { val c = cur; cur = next; n = m; next = c; m = 0 } // ends a round
   }
 }

@@ -33,8 +33,10 @@ trait Inserter {
   * Every table is stamped (per kernel-BFS, per search, per root), so none
   * is ever cleared, and one scratch can serve any number of roots and
   * builds over graphs of at most `numVertices` vertices and k at most `k`.
+  * Every builder makes its scratch before any search, so `k` is checked here.
   */
 final class KbsScratch(val numVertices: Int, val k: Int) {
+  require(k >= 1 && k <= LabelSeq.MaxLen, s"k=$k outside 1..${LabelSeq.MaxLen}")
   require(numVertices.toLong * math.max(k, 4) < Int.MaxValue, "product state space too large")
   val visit = new Array[Int](numVertices * k)
   var stamp = 0

@@ -50,7 +50,6 @@ object RlcIndexBuilder {
 
   /** Build the RLC index for `g` with parameter `k`. */
   def build(g: LabeledGraph, k: Int): RlcIndex = {
-    require(k >= 1 && k <= LabelSeq.MaxLen, s"k=$k outside 1..${LabelSeq.MaxLen}")
     val (aid, order) = accessOrder(g)
     val index = new RlcIndex(g.numVertices, k, aid)
     runRoots(g, k, index, order.toIndexedSeq, new KbsScratch(g.numVertices, k))

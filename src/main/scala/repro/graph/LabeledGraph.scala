@@ -13,7 +13,7 @@ import repro.core.LabelSeq
   *
   * This is the in-memory substrate for the sequential indexing algorithm
   * and for each executor task of the distributed builder (the graph is
-  * broadcast once; the suite's largest graphs are a few million edges).
+  * broadcast once; the largest lite analog, WF, has 450K edges).
   */
 final class LabeledGraph private (
     val numVertices: Int,

@@ -30,7 +30,6 @@ import repro.graph.LabeledGraph
 object DistRlcIndexBuilder {
 
   def build(spark: SparkSession, g: LabeledGraph, k: Int): RlcIndex = {
-    require(k >= 1 && k <= LabelSeq.MaxLen, s"k=$k outside 1..${LabelSeq.MaxLen}")
     val sc = spark.sparkContext
     val (aid, order) = RlcIndexBuilder.accessOrder(g)
     val index = new RlcIndex(g.numVertices, k, aid)

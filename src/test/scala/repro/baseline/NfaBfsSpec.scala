@@ -6,13 +6,16 @@ import repro.TestGraphs
 import repro.core.LabelSeq
 import repro.graph.LabeledGraph
 
-/** NFA-guided BFS and BiBFS against the independent brute-force evaluator. */
+/** NFA-guided BFS and BiBFS against the independent brute-force evaluator.
+  * The two share one search loop, so each is checked against `BruteForce`,
+  * never only against the other.
+  */
 class NfaBfsSpec extends AnyFunSuite {
 
   for (seed <- 1 to 8)
     test(s"BFS and BiBFS agree with brute force on random graph seed=$seed (kleene-plus)") {
       val g = TestGraphs.random(seed, n = 20, e = 60, labels = 3)
-      val prims = BruteForce.primitives(3, 2)
+      val prims = BruteForce.primitives(3, 3)
       val rng = new SplittableRandom(seed)
       for (_ <- 1 to 120) {
         val s = rng.nextInt(g.numVertices)
@@ -35,7 +38,11 @@ class NfaBfsSpec extends AnyFunSuite {
         val a = rng.nextInt(3)
         var b = rng.nextInt(3); while (b == a) b = rng.nextInt(3)
         val nfa = Nfa.concatPlus(a, b, 3)
-        assert(NfaBfs.bfs(g, s, t, nfa) == NfaBfs.bibfs(g, s, t, nfa), s"s=$s t=$t a=$a b=$b")
+        // a+∘b+: some v with s ⇝ v under a+ and v ⇝ t under b+
+        val expected = (0 until g.numVertices).exists(v =>
+          BruteForce.reach(g, s, v, LabelSeq.encode(a)) && BruteForce.reach(g, v, t, LabelSeq.encode(b)))
+        assert(NfaBfs.bfs(g, s, t, nfa).contains(expected), s"bfs s=$s t=$t a=$a b=$b")
+        assert(NfaBfs.bibfs(g, s, t, nfa).contains(expected), s"bibfs s=$s t=$t a=$a b=$b")
       }
     }
 

@@ -1,7 +1,7 @@
 package repro.spark
 
 import repro.{SparkSpec, TestGraphs}
-import repro.baseline.BruteForce
+import repro.baseline.{BruteForce, Etc}
 import repro.core.{FlatRlcIndex, KbsScratch, LabelSeq, RlcIndex, RlcIndexBuilder}
 
 /** The distributed builder must answer exactly like brute force, stay
@@ -86,8 +86,14 @@ class DistRlcIndexBuilderSpec extends SparkSpec {
 
   test("k outside 1..MaxLen is rejected") {
     val g = TestGraphs.random(1, n = 5, e = 10, labels = 2)
-    for (k <- Seq(0, LabelSeq.MaxLen + 1))
-      intercept[IllegalArgumentException](DistRlcIndexBuilder.build(spark, g, k))
+    for (k <- Seq(0, LabelSeq.MaxLen + 1)) {
+      val builds = Seq[() => Any](() => DistRlcIndexBuilder.build(spark, g, k),
+        () => RlcIndexBuilder.build(g, k), () => Etc.build(g, k))
+      for (build <- builds) {
+        val e = intercept[IllegalArgumentException](build())
+        assert(e.getMessage.contains(s"k=$k outside 1..${LabelSeq.MaxLen}"))
+      }
+    }
   }
 
   /** Order-independent checksum over every (vertex, direction, hop, MR) entry. */
