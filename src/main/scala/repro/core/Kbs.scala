@@ -109,18 +109,18 @@ final class KbsScratch(val numVertices: Int, val k: Int) {
   private[core] var rootStamp = 0 // roots begun on this scratch
   private[core] val inProbe  = new Array[Int](3 * numVertices) // hop -> (root stamp, from, to) in L_in(root)
   private[core] val outProbe = new Array[Int](3 * numVertices) // hop -> (root stamp, from, to) in L_out(root)
-  private[core] val ownHead  = new Array[Int](4 * numVertices) // 2*vertex+dir -> (root stamp, latest own entry)
-  // recorded entries: vertex (bit 30 set for L_out), MR, earlier own entry of the same list or -1
-  private[core] var meta = new Array[Int](16)
-  private[core] var mrs  = new Array[Long](16)
-  private[core] var next = new Array[Int](16)
+  private[core] val ownHead  = new Array[Int](4 * numVertices) // list id -> (root stamp, latest own entry)
+  // recorded entries: list id, MR, earlier own entry of the same list or -1
+  private[core] var lists = new Array[Int](16)
+  private[core] var mrs   = new Array[Long](16)
+  private[core] var next  = new Array[Int](16)
 
   private[core] def growRecorded(needed: Int): Unit =
-    if (needed > meta.length) {
-      val cap = math.max(needed, meta.length * 2)
-      meta = java.util.Arrays.copyOf(meta, cap)
-      mrs  = java.util.Arrays.copyOf(mrs, cap)
-      next = java.util.Arrays.copyOf(next, cap)
+    if (needed > lists.length) {
+      val cap = math.max(needed, lists.length * 2)
+      lists = java.util.Arrays.copyOf(lists, cap)
+      mrs   = java.util.Arrays.copyOf(mrs, cap)
+      next  = java.util.Arrays.copyOf(next, cap)
     }
 }
 

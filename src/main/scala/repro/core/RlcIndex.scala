@@ -22,6 +22,50 @@ final class EntryList extends Serializable {
     var i = 0
     while (i < n) { f(hops(i), mrs(i)); i += 1 }
   }
+
+  /** Case 2 of Def. 4: is `(hop, mr)` in this list? A binary search by `aid(hop)`. */
+  def contains(aid: Array[Int], hop: Int, mr: Long): Boolean = {
+    val target = aid(hop)
+    var lo = 0; var hi = n - 1
+    while (lo <= hi) {
+      val mid = (lo + hi) >>> 1
+      val a = aid(hops(mid))
+      if (a < target) lo = mid + 1
+      else if (a > target) hi = mid - 1
+      else {
+        var i = mid
+        while (i >= 0 && hops(i) == hop) { if (mrs(i) == mr) return true; i -= 1 }
+        i = mid + 1
+        while (i < n && hops(i) == hop) { if (mrs(i) == mr) return true; i += 1 }
+        return false
+      }
+    }
+    false
+  }
+
+  /** Case 1 of Def. 4: merge join with `that` — is there a hop `x` such that
+    * `(x, mr)` appears in both? `excludeHop` (if >= 0) skips one hop — used by
+    * the condensed-property checker so an entry cannot serve as its own
+    * Case-1 witness.
+    */
+  def joins(aid: Array[Int], that: EntryList, mr: Long, excludeHop: Int = -1): Boolean = {
+    val hopsB = that.hops; val mrsB = that.mrs; val nB = that.n
+    var i = 0; var j = 0
+    while (i < n && j < nB) {
+      val ai = aid(hops(i)); val aj = aid(hopsB(j))
+      if (ai < aj) i += 1
+      else if (ai > aj) j += 1
+      else {
+        val hop = hops(i)
+        var hasA = false
+        while (i < n && hops(i) == hop) { if (mrs(i) == mr) hasA = true; i += 1 }
+        var hasB = false
+        while (j < nB && hopsB(j) == hop) { if (mrsB(j) == mr) hasB = true; j += 1 }
+        if (hasA && hasB && hop != excludeHop) return true
+      }
+    }
+    false
+  }
 }
 
 object EntryList {
@@ -35,6 +79,9 @@ object EntryList {
   * condensed construction keeps. `aid` is the vertex access order (IN-OUT
   * strategy), 1-based like the paper; entry lists are sorted by `aid(hop)`
   * so queries are a merge join (Algorithm 1) without sorting.
+  *
+  * The builders and the [[CaseOne]] view name a list by its *list id*: `v`
+  * for `L_in(v)` and `|V| + v` for `L_out(v)`.
   */
 final class RlcIndex(
     val numVertices: Int,
@@ -48,26 +95,20 @@ final class RlcIndex(
   def addOut(v: Int, hop: Int, mr: Long): Unit = out(v).add(hop, mr)
   def addIn(v: Int, hop: Int, mr: Long): Unit  = in(v).add(hop, mr)
 
-  private def list(v: Int, out: Boolean): EntryList = if (out) this.out(v) else in(v)
-  def hops(v: Int, out: Boolean): Array[Int] = list(v, out).hops
-  def mrs(v: Int, out: Boolean): Array[Long] = list(v, out).mrs
-  def from(v: Int, out: Boolean): Int = 0
-  def to(v: Int, out: Boolean): Int = list(v, out).n
+  /** The list with id `l`: `L_in(l)` below `|V|`, else `L_out(l − |V|)`. */
+  def list(l: Int): EntryList = if (l < numVertices) in(l) else out(l - numVertices)
+  def hops(l: Int): Array[Int] = list(l).hops
+  def mrs(l: Int): Array[Long] = list(l).mrs
+  def from(l: Int): Int = 0
+  def to(l: Int): Int = list(l).n
 
-  def outContains(s: Int, hop: Int, mr: Long): Boolean = {
-    val l = out(s); EntryOps.contains(aid, l.hops, l.mrs, 0, l.n, hop, mr)
-  }
-  def inContains(t: Int, hop: Int, mr: Long): Boolean = {
-    val l = in(t); EntryOps.contains(aid, l.hops, l.mrs, 0, l.n, hop, mr)
-  }
+  def outContains(s: Int, hop: Int, mr: Long): Boolean = out(s).contains(aid, hop, mr)
+  def inContains(t: Int, hop: Int, mr: Long): Boolean  = in(t).contains(aid, hop, mr)
 
   /** Case 1 of Def. 4 via merge join over `L_out(s)` and `L_in(t)`:
     * is there a hop `x` with `(x, mr)` in both?
     */
-  def caseOneJoin(s: Int, t: Int, mr: Long): Boolean = {
-    val os = out(s); val it = in(t)
-    EntryOps.mergeJoin(aid, os.hops, os.mrs, 0, os.n, it.hops, it.mrs, 0, it.n, mr)
-  }
+  def caseOneJoin(s: Int, t: Int, mr: Long): Boolean = out(s).joins(aid, in(t), mr)
 
   /** Algorithm 1: answer the RLC query `(s, t, mr^+)` for a primitive `mr`
     * of length <= k. Case 2 (direct entries) then Case 1 (merge join).
@@ -91,10 +132,11 @@ final class RlcIndex(
   }
 
   /** Estimated resident size: 12 bytes per entry (4-byte hop + 8-byte packed
-    * MR) plus two array headers per vertex — the formula quoted in DESIGN.md
-    * so Table IV's MB column is re-derivable. It leaves out the lists' spare
-    * capacity and the 2·|V| `EntryList` objects: on WN-lite at k = 2 it gives
-    * 8.25 MB, where the retained heap reads about 15.15 MB.
+    * MR) plus the [[FlatRlcIndex]] snapshot's two 4-byte list offsets per
+    * vertex — the formula quoted in DESIGN.md so Table IV's MB column is
+    * re-derivable. It leaves out the live lists' spare capacity and the 2·|V|
+    * `EntryList` objects: on WN-lite at k = 2 it gives 8.25 MB, where the
+    * retained heap reads about 15.15 MB.
     */
   def sizeInBytes: Long = entryCount * 12L + numVertices.toLong * 8L
 
@@ -111,16 +153,8 @@ final class RlcIndex(
     var bad = 0L
     var v = 0
     while (v < numVertices) {
-      out(v).foreachEntry { (hop, mr) =>
-        val os = out(v); val it = in(hop)
-        if (EntryOps.mergeJoin(aid, os.hops, os.mrs, 0, os.n, it.hops, it.mrs, 0, it.n,
-          mr, excludeHop = hop)) bad += 1
-      }
-      in(v).foreachEntry { (hop, mr) =>
-        val os = out(hop); val it = in(v)
-        if (EntryOps.mergeJoin(aid, os.hops, os.mrs, 0, os.n, it.hops, it.mrs, 0, it.n,
-          mr, excludeHop = hop)) bad += 1
-      }
+      out(v).foreachEntry((hop, mr) => if (out(v).joins(aid, in(hop), mr, excludeHop = hop)) bad += 1)
+      in(v).foreachEntry((hop, mr) => if (out(hop).joins(aid, in(v), mr, excludeHop = hop)) bad += 1)
       v += 1
     }
     bad

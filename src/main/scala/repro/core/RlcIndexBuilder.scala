@@ -45,7 +45,7 @@ object RlcIndexBuilder {
     roots.foreach { root =>
       val ins = new RootInserter(index, root, scratch)
       Kbs.run(g, root, k, ins, scratch)
-      RootInserter.append(index, root, ins.meta, ins.mrs, ins.n)
+      RootInserter.append(index, root, ins.lists, ins.mrs, ins.n)
     }
 
   /** Build the RLC index for `g` with parameter `k`. */

@@ -50,7 +50,7 @@ object DistRlcIndexBuilder {
           searchRoots(graph, k, bcSnap.value, roots, new KbsScratch(graph.numVertices, k))
         }
         .collect()
-        .foreach { case (root, meta, mrs) => RootInserter.append(index, root, meta, mrs, meta.length) }
+        .foreach { case (root, lists, mrs) => RootInserter.append(index, root, lists, mrs, lists.length) }
     } finally { bcSnap.destroy(); bcGraph.destroy() }
     index
   }
@@ -63,6 +63,6 @@ object DistRlcIndexBuilder {
     roots.map { root =>
       val ins = new RootInserter(view, root, scratch)
       Kbs.run(g, root, k, ins, scratch)
-      (root, java.util.Arrays.copyOf(ins.meta, ins.n), java.util.Arrays.copyOf(ins.mrs, ins.n))
+      (root, java.util.Arrays.copyOf(ins.lists, ins.n), java.util.Arrays.copyOf(ins.mrs, ins.n))
     }
 }

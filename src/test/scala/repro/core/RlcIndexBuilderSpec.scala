@@ -93,13 +93,9 @@ class RlcIndexBuilderSpec extends AnyFunSuite {
     val g = TestGraphs.random(99, n = 22, e = 70, labels = 3)
     val index = RlcIndexBuilder.build(g, 2)
     val snap  = FlatRlcIndex.fromIndex(index)
-    def list(view: CaseOne, v: Int, out: Boolean): Seq[(Int, Long)] = {
-      val (from, to) = (view.from(v, out), view.to(v, out))
-      view.hops(v, out).slice(from, to).toSeq.zip(view.mrs(v, out).slice(from, to))
-    }
     assert(index.entryCount > 0)
-    for (v <- 0 until g.numVertices; out <- Seq(true, false))
-      assert(list(snap, v, out) == list(index, v, out), s"v=$v out=$out")
+    for (l <- 0 until 2 * g.numVertices)
+      assert(viewList(snap, l) == viewList(index, l), s"list id $l")
   }
 
   test("condensed property holds on a batch of random graphs") {
@@ -120,6 +116,8 @@ class RlcIndexBuilderSpec extends AnyFunSuite {
     val g = TestGraphs.random(5)
     val index = RlcIndexBuilder.build(g, 2)
     assert(index.sizeInBytes == index.entryCount * 12 + g.numVertices * 8)
+    val snap = FlatRlcIndex.fromIndex(index) // the 8 bytes per vertex are its two list offsets
+    assert(index.sizeInBytes == 12L * snap.entryHops.length + 4L * (snap.off.length - 1))
     assert(index.sizeInMB > 0)
   }
 
@@ -179,6 +177,12 @@ class RlcIndexBuilderSpec extends AnyFunSuite {
 }
 
 object RlcIndexBuilderSpec {
+
+  /** The entries of the list with list id `l` in `view`, in order. */
+  def viewList(view: CaseOne, l: Int): Seq[(Int, Long)] = {
+    val (from, to) = (view.from(l), view.to(l))
+    view.hops(l).slice(from, to).toSeq.zip(view.mrs(l).slice(from, to))
+  }
 
   /** A graph over `n` vertices given by its `(src, label, dst)` edges. */
   final case class Case(k: Int, n: Int, edges: List[(Int, Int, Int)]) {

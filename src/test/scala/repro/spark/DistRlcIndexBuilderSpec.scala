@@ -1,15 +1,21 @@
 package repro.spark
 
+import org.scalacheck.{Prop, Test}
+import org.scalacheck.Prop.propBoolean
+import org.scalacheck.rng.Seed
+import org.scalacheck.util.Pretty
 import repro.{SparkSpec, TestGraphs}
 import repro.baseline.{BruteForce, Etc}
 import repro.core.{FlatRlcIndex, KbsScratch, LabelSeq, RlcIndex, RlcIndexBuilder}
+import repro.core.RlcIndexBuilderSpec.{genCase, shrinkCase, viewList}
 
 /** The distributed builder must answer exactly like brute force, stay
   * condensed and keep the sequential Algorithm 2's entry set. On these
   * 15–80-vertex graphs the sequential head is |V|/64 = 0 or 1 roots, so
   * (almost) every root runs in the one Spark job against the snapshot of
   * an (almost) empty index: the stalest view a task can have. Pinned entry
-  * sets guard the merge against drift.
+  * sets guard the merge against drift, and a ScalaCheck property runs both
+  * builders on small random graphs with self-loops and parallel edges.
   */
 class DistRlcIndexBuilderSpec extends SparkSpec {
 
@@ -47,7 +53,7 @@ class DistRlcIndexBuilderSpec extends SparkSpec {
     val snap = FlatRlcIndex.fromIndex(head)
     val rest = order.drop(4).toIndexedSeq
     def entries(out: Array[(Int, Array[Int], Array[Long])]) =
-      out.toSeq.map { case (root, meta, mrs) => (root, meta.toSeq, mrs.toSeq) }
+      out.toSeq.map { case (root, lists, mrs) => (root, lists.toSeq, mrs.toSeq) }
     val shared = spark.sparkContext.parallelize(rest, 2)
       .mapPartitions(roots => DistRlcIndexBuilder.searchRoots(g, k, snap, roots, new KbsScratch(g.numVertices, k)))
       .collect()
@@ -94,6 +100,27 @@ class DistRlcIndexBuilderSpec extends SparkSpec {
         assert(e.getMessage.contains(s"k=$k outside 1..${LabelSeq.MaxLen}"))
       }
     }
+  }
+
+  test("property: dist entry set = sequential, condensed; sequential ≡ brute force; snapshot holds every list") {
+    val prop = Prop.forAll(genCase) { c =>
+      val g    = c.graph
+      val seq  = RlcIndexBuilder.build(g, c.k)
+      val dist = DistRlcIndexBuilder.build(spark, g, c.k)
+      val snap = FlatRlcIndex.fromIndex(seq)
+      val prims = BruteForce.primitives(g.numLabels, c.k)
+      val wrong = for (s <- 0 until g.numVertices; t <- 0 until g.numVertices; mr <- prims
+                       if seq.query(s, t, mr) != BruteForce.reach(g, s, t, mr))
+        yield s"($s, $t, ${LabelSeq.show(mr)})"
+      ((entrySet(dist) == entrySet(seq)) :| "distributed entry set equals the sequential one") &&
+      ((dist.condensedViolations == 0L) :| "distributed index is condensed") &&
+      (wrong.isEmpty :| s"sequential answers differ from brute force at ${wrong.take(3).mkString(", ")}") &&
+      ((0 until 2 * g.numVertices).forall(l => viewList(snap, l) == viewList(seq, l)) :|
+        "snapshot holds the live list under every list id")
+    }
+    val params = Test.Parameters.default.withMinSuccessfulTests(200).withInitialSeed(Seed(20230402L))
+    val result = Test.check(params, prop)
+    assert(result.passed, Pretty.pretty(result))
   }
 
   /** Order-independent checksum over every (vertex, direction, hop, MR) entry. */
