@@ -3,9 +3,10 @@ package repro.core
 import repro.graph.LabeledGraph
 
 /** Insert callback for a KBS run from a fixed root. Returns true if the
-  * entry was recorded, false if it was pruned (PR1/PR2) — in the kernel-BFS
-  * phase a false return triggers PR3 (the visited vertex and everything
-  * beyond it are skipped).
+  * entry was recorded, false if it was pruned (PR1/PR2). [[Kbs]] calls it at
+  * most once per (vertex, MR) in one search, and reads the result only at a
+  * kernel-BFS completion, where a false return triggers PR3 (the visited
+  * vertex and everything beyond it are skipped).
   */
 trait Inserter {
   /** Backward KBS from `root` visited `y` via a path y ⇝ root whose k-MR is
@@ -22,35 +23,28 @@ trait Inserter {
 /** Reusable per-thread scratch space, so a full index build allocates
   * nothing per visit:
   *
-  *  - a stamped visited array over `(vertex, phase)` product states and
-  *    growable queues (kernel-search and kernel-BFS);
+  *  - a stamped visited array over `(vertex, phase)` product states and a
+  *    growable kernel-BFS queue;
   *  - the kernel map of one search: kernel code → slot, slots numbered in
   *    first-seen order, each with a reusable frontier array;
   *  - one search root's [[RootInserter]] state: the probe tables of the
-  *    root's own lists, the own-entry chains and the recorded entries.
-  *    One inserter at a time may use a scratch.
+  *    root's own lists, the recorded entries and the MRs recorded into
+  *    `L_out(root)`. One inserter at a time may use a scratch.
   *
   * Every table is stamped (per kernel-BFS, per search, per root), so none
   * is ever cleared, and one scratch can serve any number of roots and
   * builds over graphs of at most `numVertices` vertices and k at most `k`.
-  * Every builder makes its scratch before any search, so `k` is checked here.
+  * Every builder makes its scratch before any search, so `k` is checked here,
+  * and so is the size of the largest per-vertex tables, the probe tables
+  * (3·|V|) and `visit` (k·|V|), before any of them is allocated.
   */
 final class KbsScratch(val numVertices: Int, val k: Int) {
   require(k >= 1 && k <= LabelSeq.MaxLen, s"k=$k outside 1..${LabelSeq.MaxLen}")
-  require(numVertices.toLong * math.max(k, 4) < Int.MaxValue, "product state space too large")
+  require(numVertices.toLong * math.max(k, 3) < Int.MaxValue, "product state space too large")
   val visit = new Array[Int](numVertices * k)
   var stamp = 0
 
-  var qv = new Array[Int](1024)   // kernel-search queue: vertices
-  var qs = new Array[Long](1024)  //                      packed sequences
-  var bq = new Array[Int](1024)   // kernel-BFS queue: packed v*k+phase
-
-  def growSearch(needed: Int): Unit =
-    if (needed > qv.length) {
-      val cap = math.max(needed, qv.length * 2)
-      qv = java.util.Arrays.copyOf(qv, cap)
-      qs = java.util.Arrays.copyOf(qs, cap)
-    }
+  var bq = new Array[Int](1024) // kernel-BFS queue: packed v*k+phase
 
   def growBfs(needed: Int): Unit =
     if (needed > bq.length) bq = java.util.Arrays.copyOf(bq, math.max(needed, bq.length * 2))
@@ -109,19 +103,22 @@ final class KbsScratch(val numVertices: Int, val k: Int) {
   private[core] var rootStamp = 0 // roots begun on this scratch
   private[core] val inProbe  = new Array[Int](3 * numVertices) // hop -> (root stamp, from, to) in L_in(root)
   private[core] val outProbe = new Array[Int](3 * numVertices) // hop -> (root stamp, from, to) in L_out(root)
-  private[core] val ownHead  = new Array[Int](4 * numVertices) // list id -> (root stamp, latest own entry)
-  // recorded entries: list id, MR, earlier own entry of the same list or -1
+  // recorded entries: list id, MR
   private[core] var lists = new Array[Int](16)
   private[core] var mrs   = new Array[Long](16)
-  private[core] var next  = new Array[Int](16)
+  // MRs recorded into L_out(root), at most one per backward kernel
+  private[core] var cycleMrs = new Array[Long](8)
 
   private[core] def growRecorded(needed: Int): Unit =
     if (needed > lists.length) {
       val cap = math.max(needed, lists.length * 2)
       lists = java.util.Arrays.copyOf(lists, cap)
       mrs   = java.util.Arrays.copyOf(mrs, cap)
-      next  = java.util.Arrays.copyOf(next, cap)
     }
+
+  private[core] def growCycle(needed: Int): Unit =
+    if (needed > cycleMrs.length)
+      cycleMrs = java.util.Arrays.copyOf(cycleMrs, math.max(needed, cycleMrs.length * 2))
 }
 
 object KbsScratch {
@@ -133,17 +130,21 @@ object KbsScratch {
 
 /** Eager kernel-based search (paper Sec. IV + Algorithm 2).
   *
-  * Phase 1, kernel-search: plain BFS to depth k enumerating *all* label
-  * sequences (no vertex marking — every path matters); every visit
-  * `(y, seq)` attempts an index insert with `MR(seq)` and registers `y` as a
-  * frontier vertex of the kernel candidate `MR(seq)` (every sequence is a
-  * power of its own MR, so `y` sits on a candidate `MR^+` path).
+  * Phase 1, kernel-search: a depth-first walk of every path of length at
+  * most k from the root (no vertex marking — every path matters); every
+  * visit `(y, seq)` registers `y` as a frontier vertex of the kernel
+  * candidate `MR(seq)` (every sequence is a power of its own MR, so `y`
+  * sits on a candidate `MR^+` path). It makes no inserts.
   *
   * Phase 2, kernel-BFS: per kernel candidate `L` (length m), a BFS over
-  * `(vertex, phase)` states guided by `L^+`; backward search at phase j
-  * (j labels of the current copy already prepended) accepts only in-edges
-  * labeled `L[m-1-j]`, inserts an entry whenever a copy completes, and
-  * applies PR3: a pruned insert stops the expansion through that vertex.
+  * `(vertex, phase)` states guided by `L^+`, seeded with the candidate's
+  * frontier at phase 0. Seeding a frontier vertex attempts its depth-≤k
+  * insert, once per (vertex, kernel), and ignores the result. Backward
+  * search at phase j (j labels of the current copy already prepended)
+  * accepts only in-edges labeled `L[m-1-j]`, inserts an entry whenever a
+  * copy completes, and applies PR3: a pruned insert stops the expansion
+  * through that vertex. A state is marked once, so each (vertex, MR) pair
+  * is tried at most once per search.
   */
 object Kbs {
 
@@ -164,45 +165,31 @@ object Kbs {
     val adjVert  = if (forwardDir) g.outDst else g.inSrc
     val adjLabel = if (forwardDir) g.outLabel else g.inLabel
 
-    // ---- kernel-search (depth <= k, all paths) ----
-    scratch.clearKernels()
-    scratch.growSearch(1)
-    scratch.qv(0) = root; scratch.qs(0) = LabelSeq.Empty
-    var head = 0
-    var tail = 1
-    while (head < tail) {
-      val x   = scratch.qv(head)
-      val seq = scratch.qs(head)
-      head += 1
-      val len = LabelSeq.length(seq)
+    // ---- kernel-search (depth <= k, all paths): collect the kernel candidates ----
+    def collect(x: Int, seq: Long): Unit = {
       var i = adjOff(x)
       val end = adjOff(x + 1)
       while (i < end) {
-        val y = adjVert(i)
-        val l = adjLabel(i)
-        val seq2 = if (forwardDir) LabelSeq.append(seq, l) else LabelSeq.prepend(l, seq)
-        val m    = LabelSeq.mr(seq2)
-        if (forwardDir) ins.insertIn(y, m) else ins.insertOut(y, m)
-        scratch.addFrontier(m, y)
-        if (len + 1 < k) {
-          scratch.growSearch(tail + 1)
-          scratch.qv(tail) = y; scratch.qs(tail) = seq2
-          tail += 1
-        }
+        val y    = adjVert(i)
+        val seq2 = if (forwardDir) LabelSeq.append(seq, adjLabel(i)) else LabelSeq.prepend(adjLabel(i), seq)
+        scratch.addFrontier(LabelSeq.mr(seq2), y)
+        if (LabelSeq.length(seq2) < k) collect(y, seq2)
         i += 1
       }
     }
+    scratch.clearKernels()
+    collect(root, LabelSeq.Empty)
 
     // ---- kernel-BFS per kernel candidate, in first-seen order ----
     var s = 0
     while (s < scratch.numKernels) {
-      kernelBfs(g, root, k, scratch.kernels(s), scratch.frontiers(s), scratch.frontierN(s), ins,
+      kernelBfs(k, scratch.kernels(s), scratch.frontiers(s), scratch.frontierN(s), ins,
         scratch, forwardDir, adjOff, adjVert, adjLabel)
       s += 1
     }
   }
 
-  private def kernelBfs(g: LabeledGraph, root: Int, k: Int, kernel: Long,
+  private def kernelBfs(k: Int, kernel: Long,
                         frontier: Array[Int], frontierSize: Int,
                         ins: Inserter, scratch: KbsScratch, forwardDir: Boolean,
                         adjOff: Array[Int], adjVert: Array[Int], adjLabel: Array[Int]): Unit = {
@@ -219,6 +206,7 @@ object Kbs {
       val st = v * k // phase 0
       if (visit(st) != stamp) {
         visit(st) = stamp
+        if (forwardDir) ins.insertIn(v, kernel) else ins.insertOut(v, kernel) // depth <= k: no PR3
         scratch.growBfs(tail + 1)
         scratch.bq(tail) = st; tail += 1
       }

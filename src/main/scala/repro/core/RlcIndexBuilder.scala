@@ -21,7 +21,7 @@ object RlcIndexBuilder {
     * `aid(v)` = 1-based rank.
     */
   def accessOrder(g: LabeledGraph): (Array[Int], Array[Int]) = {
-    val order = (0 until g.numVertices).toArray.map(v => v)
+    val order = (0 until g.numVertices).toArray
     val score = Array.tabulate(g.numVertices) { v =>
       (g.outDegree(v) + 1).toLong * (g.inDegree(v) + 1)
     }

@@ -24,10 +24,13 @@ trait CaseOne {
   * are loaded once, into per-hop `[from, to)` probe tables, and each
   * Case-1 join becomes a scan of the visited vertex's list: only an entry
   * carrying the probed MR looks its hop up in the table (pruned landmark
-  * labeling's root-side table). The root's own entries are chained per
-  * list id through the recorded entries. All of this state lives in
-  * `scratch`, stamped by root, so an inserter allocates nothing per visit;
-  * one inserter at a time may use a scratch.
+  * labeling's root-side table). [[Kbs]] tries each `(vertex, MR)` pair at
+  * most once per search, so the entries this search records matter only
+  * through the root cycle: `insertIn(root, mr)` fails once the backward
+  * search recorded `(root, mr)` in `L_out(root)`. Those MRs are kept in
+  * `scratch.cycleMrs`. All of this state lives in `scratch`, stamped by
+  * root, so an inserter allocates nothing per visit; one inserter at a
+  * time may use a scratch.
   *
   * Kept entries are recorded in `lists` (the list id) and `mrs`, the first
   * `n` slots, in visit order; [[RootInserter.append]] adds them to the
@@ -41,6 +44,7 @@ final class RootInserter(view: CaseOne, root: Int, scratch: KbsScratch) extends 
   private val stamp   = { scratch.rootStamp += 1; scratch.rootStamp }
   private val inMrs   = view.mrs(root)
   private val outMrs  = view.mrs(outBase + root)
+  private var cycleN  = 0 // MRs in scratch.cycleMrs
   var n: Int = 0
 
   load(scratch.inProbe, root)
@@ -85,33 +89,28 @@ final class RootInserter(view: CaseOne, root: Int, scratch: KbsScratch) extends 
     false
   }
 
-  /** Is `(root, mr)` already recorded in list `l`? */
-  private def has(l: Int, mr: Long): Boolean = {
-    val head = scratch.ownHead
-    if (head(2 * l) != stamp) return false
-    var i = head(2 * l + 1)
-    while (i >= 0) { if (scratch.mrs(i) == mr) return true; i = scratch.next(i) }
+  /** Did the backward search record `(root, mr)` in `L_out(root)`? */
+  private def onCycle(mr: Long): Boolean = {
+    var i = 0
+    while (i < cycleN) { if (scratch.cycleMrs(i) == mr) return true; i += 1 }
     false
   }
 
   private def record(l: Int, mr: Long): Boolean = {
     scratch.growRecorded(n + 1)
-    val head = scratch.ownHead
-    scratch.next(n) = if (head(2 * l) == stamp) head(2 * l + 1) else -1
-    head(2 * l) = stamp; head(2 * l + 1) = n
     scratch.lists(n) = l
     scratch.mrs(n) = mr
     n += 1
+    if (l == outBase + root) { scratch.growCycle(cycleN + 1); scratch.cycleMrs(cycleN) = mr; cycleN += 1 }
     true
   }
 
   def insertOut(y: Int, mr: Long): Boolean = // PR2, then PR1 = Query(y, root, mr^+)
-    rootAid <= aid(y) && !has(outBase + y, mr) && !joins(outBase + y, scratch.inProbe, inMrs, mr) &&
-      record(outBase + y, mr)
+    rootAid <= aid(y) && !joins(outBase + y, scratch.inProbe, inMrs, mr) && record(outBase + y, mr)
 
   def insertIn(y: Int, mr: Long): Boolean = // PR2, then PR1 = Query(root, y, mr^+)
-    rootAid <= aid(y) && !has(y, mr) && !(y == root && has(outBase + root, mr)) &&
-      !joins(y, scratch.outProbe, outMrs, mr) && record(y, mr)
+    rootAid <= aid(y) && !(y == root && onCycle(mr)) && !joins(y, scratch.outProbe, outMrs, mr) &&
+      record(y, mr)
 }
 
 object RootInserter {

@@ -6,7 +6,8 @@ import repro.graph.ExampleGraphs
 
 /** The paper's running example: the Fig. 2 graph must yield exactly the
   * RLC index of Table II (k = 2), the IN-OUT access order quoted in
-  * Sec. V-B, and the query answers of Example 3.
+  * Sec. V-B, the kernel candidates of Example 4, and the query answers of
+  * Example 3.
   */
 class Fig2Spec extends AnyFunSuite {
   private val l1 = 0; private val l2 = 1; private val l3 = 2
@@ -21,6 +22,19 @@ class Fig2Spec extends AnyFunSuite {
     val (aid, order) = RlcIndexBuilder.accessOrder(g)
     assert(order.toSeq == Seq(v1, v3, v2, v4, v5, v6))
     assert(aid(v3) == 2, "aid(v3) = 2 as quoted in Sec. V-B")
+  }
+
+  test("Example 4: backward kernel-search from v1 finds three kernel candidates and their frontiers") {
+    val (aid, _) = RlcIndexBuilder.accessOrder(g)
+    val scratch  = new KbsScratch(g.numVertices, 2)
+    Kbs.backward(g, v1, 2, new RootInserter(new RlcIndex(g.numVertices, 2, aid), v1, scratch), scratch)
+    val frontiers = (0 until scratch.numKernels).map { s =>
+      scratch.kernels(s) -> scratch.frontiers(s).take(scratch.frontierN(s)).toSet
+    }.toMap
+    assert(frontiers == Map(
+      L(l1)     -> Set(v2, v4, v5),
+      L(l2)     -> Set(v1, v3),
+      L(l2, l1) -> Set(v2, v3)))
   }
 
   private def outSet(v: Int): Set[(Int, Long)] = {

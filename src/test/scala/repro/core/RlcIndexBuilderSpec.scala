@@ -1,6 +1,7 @@
 package repro.core
 
 import org.scalacheck.{Gen, Prop, Shrink, Test}
+import org.scalacheck.Prop.propBoolean
 import org.scalacheck.rng.Seed
 import org.scalacheck.util.Pretty
 import org.scalatest.funsuite.AnyFunSuite
@@ -12,9 +13,10 @@ import repro.graph.LabeledGraph
   * seeded random graphs: for every vertex pair and every primitive
   * constraint of length <= k, the index answer must equal an independent
   * brute-force product-graph search. Also checks the condensed property,
-  * the flat snapshot, reuse of one scratch across roots and builds, and
-  * that the builder keeps exactly the entries of the paper's literal
-  * protocol ([[LiveQueryInserter]]).
+  * the flat snapshot, reuse of one scratch across roots and builds, the
+  * scratch's size limit, that the builder keeps exactly the entries of the
+  * paper's literal protocol ([[LiveQueryInserter]]), and that Kbs tries
+  * each (direction, vertex, MR) at most once per root.
   */
 class RlcIndexBuilderSpec extends AnyFunSuite {
   import RlcIndexBuilderSpec._
@@ -135,7 +137,7 @@ class RlcIndexBuilderSpec extends AnyFunSuite {
   }
 
   test("one KbsScratch serves runRoots over several graphs in a row: entry lists as with fresh scratch") {
-    // stamps, probe tables and own-entry chains must not leak between roots or builds
+    // stamps, probe tables and the root-cycle MRs must not leak between roots or builds
     val runs = Seq(
       (TestGraphs.random(41, n = 30, e = 110, labels = 3), 3),
       (TestGraphs.smallBa(42, n = 30, e = 120, labels = 3), 3),
@@ -165,10 +167,18 @@ class RlcIndexBuilderSpec extends AnyFunSuite {
       assert(index.query(s, t, mr) == BruteForce.reach(g, s, t, mr), s"s=$s t=$t ${LabelSeq.show(mr)}")
   }
 
+  test("KbsScratch rejects a graph whose probe tables or visit array overflow an Int index") {
+    // the require runs before any table is allocated
+    intercept[IllegalArgumentException](new KbsScratch(Int.MaxValue / 3 + 1, 1)) // 3·|V| probe tables
+    intercept[IllegalArgumentException](new KbsScratch(Int.MaxValue / 6 + 1, 6)) // k·|V| visit array
+  }
+
   test("property: RlcIndexBuilder keeps the literal Algorithm 2's entry lists, in order") {
+    // also: no root's search tries a (direction, vertex, MR) twice
     val prop = Prop.forAll(genCase) { c =>
       val g = c.graph
-      entryLists(RlcIndexBuilder.build(g, c.k)) == entryLists(LiveQueryInserter.build(g, c.k))
+      val sameLists = entryLists(RlcIndexBuilder.build(g, c.k)) == entryLists(LiveQueryInserter.build(g, c.k))
+      (sameLists :| "entry lists") && (triesEachOnce(g, c.k) :| "each (direction, vertex, MR) tried once per root")
     }
     val params = Test.Parameters.default.withMinSuccessfulTests(500).withInitialSeed(Seed(20230401L))
     val result = Test.check(params, prop)
@@ -177,6 +187,43 @@ class RlcIndexBuilderSpec extends AnyFunSuite {
 }
 
 object RlcIndexBuilderSpec {
+
+  /** Passes every attempt on to `inner`, noting whether one repeats a
+    * (direction, vertex, MR) tried since `tried` was last cleared.
+    */
+  final class RepeatCheck(var inner: Inserter) extends Inserter {
+    val tried = scala.collection.mutable.HashSet.empty[(Boolean, Int, Long)]
+    var repeated = false
+    private def note(out: Boolean, y: Int, mr: Long): Unit = if (!tried.add((out, y, mr))) repeated = true
+    def insertOut(y: Int, mr: Long): Boolean = { note(true, y, mr); inner.insertOut(y, mr) }
+    def insertIn(y: Int, mr: Long): Boolean = { note(false, y, mr); inner.insertIn(y, mr) }
+  }
+
+  /** Keeps every entry, as the ETC baseline does. */
+  object KeepAll extends Inserter {
+    def insertOut(y: Int, mr: Long): Boolean = true
+    def insertIn(y: Int, mr: Long): Boolean = true
+  }
+
+  /** Does every root's search over `g` try each (direction, vertex, MR) at
+    * most once? Checked for `Kbs.run` with the builder's [[RootInserter]]s
+    * and for `Kbs.forward` with [[KeepAll]], as the ETC baseline calls it.
+    */
+  def triesEachOnce(g: LabeledGraph, k: Int): Boolean = {
+    val (aid, order) = RlcIndexBuilder.accessOrder(g)
+    val index   = new RlcIndex(g.numVertices, k, aid)
+    val scratch = new KbsScratch(g.numVertices, k)
+    val check   = new RepeatCheck(KeepAll)
+    order.foreach { root =>
+      val ins = new RootInserter(index, root, scratch)
+      check.inner = ins; check.tried.clear()
+      Kbs.run(g, root, k, check, scratch)
+      RootInserter.append(index, root, ins.lists, ins.mrs, ins.n)
+      check.inner = KeepAll; check.tried.clear()
+      Kbs.forward(g, root, k, check, scratch)
+    }
+    !check.repeated
+  }
 
   /** The entries of the list with list id `l` in `view`, in order. */
   def viewList(view: CaseOne, l: Int): Seq[(Int, Long)] = {
