@@ -141,10 +141,13 @@ object KbsScratch {
   * frontier at phase 0. Seeding a frontier vertex attempts its depth-≤k
   * insert, once per (vertex, kernel), and ignores the result. Backward
   * search at phase j (j labels of the current copy already prepended)
-  * accepts only in-edges labeled `L[m-1-j]`, inserts an entry whenever a
-  * copy completes, and applies PR3: a pruned insert stops the expansion
-  * through that vertex. A state is marked once, so each (vertex, MR) pair
-  * is tried at most once per search.
+  * expands only along in-edges labeled `L[m-1-j]`, and reads just that
+  * `(vertex, label)` group of [[LabeledGraph.inByLabel]] (forward: `L[j]`,
+  * [[LabeledGraph.outByLabel]]); a group keeps CSR order, so the visit
+  * order is that of a filtered scan of the whole adjacency. It inserts an
+  * entry whenever a copy completes and applies PR3: a pruned insert stops
+  * the expansion through that vertex. A state is marked once, so each
+  * (vertex, MR) pair is tried at most once per search.
   */
 object Kbs {
 
@@ -181,10 +184,11 @@ object Kbs {
     collect(root, LabelSeq.Empty)
 
     // ---- kernel-BFS per kernel candidate, in first-seen order ----
+    val groups = if (forwardDir) g.outByLabel else g.inByLabel
     var s = 0
     while (s < scratch.numKernels) {
       kernelBfs(k, scratch.kernels(s), scratch.frontiers(s), scratch.frontierN(s), ins,
-        scratch, forwardDir, adjOff, adjVert, adjLabel)
+        scratch, forwardDir, g.numLabels, groups.off, groups.vert)
       s += 1
     }
   }
@@ -192,7 +196,7 @@ object Kbs {
   private def kernelBfs(k: Int, kernel: Long,
                         frontier: Array[Int], frontierSize: Int,
                         ins: Inserter, scratch: KbsScratch, forwardDir: Boolean,
-                        adjOff: Array[Int], adjVert: Array[Int], adjLabel: Array[Int]): Unit = {
+                        numLabels: Int, groupOff: Array[Int], groupVert: Array[Int]): Unit = {
     val m = LabelSeq.length(kernel)
     scratch.stamp += 1
     val stamp = scratch.stamp
@@ -220,22 +224,21 @@ object Kbs {
       val phase = st % k
       val expected = if (forwardDir) LabelSeq.labelAt(kernel, phase)
                      else LabelSeq.labelAt(kernel, m - 1 - phase)
-      var j = adjOff(x)
-      val end = adjOff(x + 1)
+      val complete = phase + 1 == m
+      val nphase   = if (complete) 0 else phase + 1
+      // only x's edges labeled `expected`, in CSR order
+      var j = groupOff(x * numLabels + expected)
+      val end = groupOff(x * numLabels + expected + 1)
       while (j < end) {
-        if (adjLabel(j) == expected) {
-          val y = adjVert(j)
-          val complete = phase + 1 == m
-          val nphase   = if (complete) 0 else phase + 1
-          val nst      = y * k + nphase
-          if (visit(nst) != stamp) {
-            if (complete && !(if (forwardDir) ins.insertIn(y, kernel) else ins.insertOut(y, kernel))) {
-              visit(nst) = stamp // PR3: entry derivable — skip y and everything beyond
-            } else {
-              visit(nst) = stamp
-              scratch.growBfs(tail + 1)
-              scratch.bq(tail) = nst; tail += 1
-            }
+        val y   = groupVert(j)
+        val nst = y * k + nphase
+        if (visit(nst) != stamp) {
+          if (complete && !(if (forwardDir) ins.insertIn(y, kernel) else ins.insertOut(y, kernel))) {
+            visit(nst) = stamp // PR3: entry derivable — skip y and everything beyond
+          } else {
+            visit(nst) = stamp
+            scratch.growBfs(tail + 1)
+            scratch.bq(tail) = nst; tail += 1
           }
         }
         j += 1

@@ -11,6 +11,11 @@ import repro.core.LabelSeq
   * allowed (the paper's graphs have both); duplicate (src,label,dst)
   * triples are collapsed at construction.
   *
+  * Kernel-BFS reads each direction's adjacency grouped by `(vertex, label)`
+  * ([[outByLabel]], [[inByLabel]]): built on first use and never serialized
+  * (a deserialized graph rebuilds it), so a graph that never runs Kbs pays
+  * nothing for it.
+  *
   * This is the in-memory substrate for the sequential indexing algorithm
   * and for each executor task of the distributed builder (the graph is
   * broadcast once; the largest lite analog, WF, has 450K edges).
@@ -27,6 +32,11 @@ final class LabeledGraph private (
 ) extends Serializable {
 
   def numEdges: Int = outDst.length
+
+  /** The out-adjacency grouped by `(vertex, label)`. */
+  @transient lazy val outByLabel: LabelGroups = LabeledGraph.groupByLabel(numLabels, outOff, outDst, outLabel)
+  /** The in-adjacency grouped by `(vertex, label)`. */
+  @transient lazy val inByLabel: LabelGroups = LabeledGraph.groupByLabel(numLabels, inOff, inSrc, inLabel)
 
   def outDegree(v: Int): Int = outOff(v + 1) - outOff(v)
   def inDegree(v: Int): Int  = inOff(v + 1) - inOff(v)
@@ -89,4 +99,26 @@ object LabeledGraph {
     }
     new LabeledGraph(numVertices, numLabels, outOff, outDst, outLab, inOff, inSrc, inLab)
   }
+
+  /** Group the adjacency `adjOff`/`adjVert`/`adjLabel` by `(vertex, label)`, by a stable counting sort. */
+  private def groupByLabel(numLabels: Int, adjOff: Array[Int], adjVert: Array[Int],
+                           adjLabel: Array[Int]): LabelGroups = {
+    val n = adjOff.length - 1
+    require(n.toLong * numLabels < Int.MaxValue, s"|V|·|L| = ${n}·$numLabels overflows the group offsets")
+    val off  = new Array[Int](n * numLabels + 1)
+    val vert = new Array[Int](adjVert.length)
+    for (v <- 0 until n; i <- adjOff(v) until adjOff(v + 1)) off(v * numLabels + adjLabel(i)) += 1
+    for (g <- 1 until off.length) off(g) += off(g - 1) // off(g) = end of group g
+    for (v <- n - 1 to 0 by -1; i <- adjOff(v + 1) - 1 to adjOff(v) by -1) { // back to front: stable
+      val g = v * numLabels + adjLabel(i)
+      off(g) -= 1; vert(off(g)) = adjVert(i) // off(g) ends at the start of group g
+    }
+    new LabelGroups(off, vert)
+  }
 }
+
+/** One direction's adjacency grouped by `(vertex, label)`: the neighbours of
+  * `v` over edges labeled `l` are `vert` in `[off(v·|L| + l), off(v·|L| + l + 1))`,
+  * in CSR order.
+  */
+final class LabelGroups private[graph] (val off: Array[Int], val vert: Array[Int])

@@ -15,8 +15,9 @@ import repro.graph.LabeledGraph
   * brute-force product-graph search. Also checks the condensed property,
   * the flat snapshot, reuse of one scratch across roots and builds, the
   * scratch's size limit, that the builder keeps exactly the entries of the
-  * paper's literal protocol ([[LiveQueryInserter]]), and that Kbs tries
-  * each (direction, vertex, MR) at most once per root.
+  * paper's literal protocol ([[LiveQueryInserter]]), that Kbs tries
+  * each (direction, vertex, MR) at most once per root, and the order in
+  * which it tries them.
   */
 class RlcIndexBuilderSpec extends AnyFunSuite {
   import RlcIndexBuilderSpec._
@@ -173,6 +174,21 @@ class RlcIndexBuilderSpec extends AnyFunSuite {
     intercept[IllegalArgumentException](new KbsScratch(Int.MaxValue / 6 + 1, 6)) // k·|V| visit array
   }
 
+  test("Kbs.run's insert attempts come in a pinned order") {
+    // an order-dependent fingerprint of every (direction, vertex, MR) tried, with the builder's
+    // RootInserters, so PR3 fires; pinned from the kernel-BFS that scanned whole adjacencies
+    val cases = Seq(
+      (TestGraphs.random(61, n = 40, e = 150, labels = 3), 2, (2184L, 1506L, 2041519766529174394L)),
+      (TestGraphs.smallBa(62, n = 40, e = 160, labels = 3), 3, (14253L, 12805L, -1667696808503899910L)),
+      (TestGraphs.random(63, n = 30, e = 110, labels = 2), 3, (6360L, 5869L, 2910258514267466928L)),
+    )
+    for (((g, k, pinned), i) <- cases.zipWithIndex) {
+      val log = attempts(g, k)
+      assert(log.rejected > 0, s"case $i: no insert rejected")
+      assert((log.n, log.rejected, log.hash) == pinned, s"case $i")
+    }
+  }
+
   test("property: RlcIndexBuilder keeps the literal Algorithm 2's entry lists, in order") {
     // also: no root's search tries a (direction, vertex, MR) twice
     val prop = Prop.forAll(genCase) { c =>
@@ -197,6 +213,40 @@ object RlcIndexBuilderSpec {
     private def note(out: Boolean, y: Int, mr: Long): Unit = if (!tried.add((out, y, mr))) repeated = true
     def insertOut(y: Int, mr: Long): Boolean = { note(true, y, mr); inner.insertOut(y, mr) }
     def insertIn(y: Int, mr: Long): Boolean = { note(false, y, mr); inner.insertIn(y, mr) }
+  }
+
+  /** Passes every attempt on to `inner`, counting attempts and rejections
+    * and folding each (direction, vertex, MR) into an order-dependent hash.
+    */
+  final class AttemptLog(var inner: Inserter) extends Inserter {
+    var n = 0L
+    var rejected = 0L
+    var hash = 0xcbf29ce484222325L
+    private def note(out: Boolean, y: Int, mr: Long, ok: Boolean): Boolean = {
+      n += 1
+      if (!ok) rejected += 1
+      for (x <- Seq(if (out) 1L else 2L, y.toLong, mr)) hash = (hash ^ x) * 0x100000001b3L
+      ok
+    }
+    def insertOut(y: Int, mr: Long): Boolean = note(true, y, mr, inner.insertOut(y, mr))
+    def insertIn(y: Int, mr: Long): Boolean = note(false, y, mr, inner.insertIn(y, mr))
+  }
+
+  /** Every insert attempt `Kbs.run` makes over `g`'s roots in access order,
+    * with the builder's [[RootInserter]]s.
+    */
+  def attempts(g: LabeledGraph, k: Int): AttemptLog = {
+    val (aid, order) = RlcIndexBuilder.accessOrder(g)
+    val index   = new RlcIndex(g.numVertices, k, aid)
+    val scratch = new KbsScratch(g.numVertices, k)
+    val log     = new AttemptLog(KeepAll)
+    order.foreach { root =>
+      val ins = new RootInserter(index, root, scratch)
+      log.inner = ins
+      Kbs.run(g, root, k, log, scratch)
+      RootInserter.append(index, root, ins.lists, ins.mrs, ins.n)
+    }
+    log
   }
 
   /** Keeps every entry, as the ETC baseline does. */

@@ -3,7 +3,9 @@ package repro.graph
 import repro.{SparkSpec, TestGraphs}
 import repro.core.LabelSeq
 
-/** CSR construction, dedup, degrees, and the DataFrame view. */
+/** CSR construction, dedup, degrees, the label-grouped adjacency, and the
+  * DataFrame view.
+  */
 class LabeledGraphSpec extends SparkSpec {
 
   test("edges roundtrip through CSR; duplicates collapse") {
@@ -50,6 +52,70 @@ class LabeledGraphSpec extends SparkSpec {
     val n = LabeledGraph.MaxVertices
     intercept[IllegalArgumentException](
       LabeledGraph.fromEdges(n + 1, 1, Array((0, 0, n), (1, 0, 0))))
+  }
+
+  /** Seeded graph with self-loops and parallel edges under several labels. */
+  private def multiLabelGraph(seed: Long): LabeledGraph = {
+    val rng = new java.util.SplittableRandom(seed)
+    val (n, labels) = (20 + seed.toInt, 4)
+    val triples = Array.fill(6 * n) {
+      val s = rng.nextInt(n)
+      val d = if (rng.nextInt(8) == 0) s else rng.nextInt(n)
+      (s, rng.nextInt(labels), d)
+    }
+    // every fourth edge again under every label, so (s, d) pairs repeat across labels
+    LabeledGraph.fromEdges(n, labels, triples ++ triples.indices.by(4).flatMap { i =>
+      val (s, _, d) = triples(i); (0 until labels).map(l => (s, l, d))
+    })
+  }
+
+  /** `grouped`'s run for every (vertex, label), checked against the CSR
+    * adjacency `off`/`vert`/`label` filtered to that label, in CSR order.
+    */
+  private def assertGroupsFilterCsr(g: LabeledGraph, grouped: LabelGroups, off: Array[Int],
+                                    vert: Array[Int], label: Array[Int]): Unit = {
+    assert(grouped.off.length == g.numVertices * g.numLabels + 1)
+    assert(grouped.vert.length == g.numEdges)
+    for (v <- 0 until g.numVertices; l <- 0 until g.numLabels) {
+      val key = v * g.numLabels + l
+      val run = grouped.vert.slice(grouped.off(key), grouped.off(key + 1)).toSeq
+      assert(run == (off(v) until off(v + 1)).filter(label(_) == l).map(vert), s"v=$v l=$l")
+    }
+  }
+
+  test("label-grouped adjacency is the CSR adjacency filtered per label, in CSR order") {
+    for (seed <- 1L to 6L) {
+      val g = multiLabelGraph(seed)
+      assert(g.edges.exists { case (s, _, d) => s == d }, "no self-loop")
+      assert(g.edges.toSeq.groupBy { case (s, _, d) => (s, d) }.exists(_._2.size > 1), "no parallel edge")
+      assertGroupsFilterCsr(g, g.outByLabel, g.outOff, g.outDst, g.outLabel)
+      assertGroupsFilterCsr(g, g.inByLabel, g.inOff, g.inSrc, g.inLabel)
+    }
+  }
+
+  test("label-grouped adjacency is not serialized; a deserialized graph rebuilds it") {
+    def serialize(g: LabeledGraph): Array[Byte] = {
+      val bytes = new java.io.ByteArrayOutputStream
+      val out   = new java.io.ObjectOutputStream(bytes)
+      out.writeObject(g); out.close()
+      bytes.toByteArray
+    }
+    val built = multiLabelGraph(7)
+    val (outGroups, inGroups) = (built.outByLabel, built.inByLabel)
+    val bytes = serialize(built)
+    assert(bytes.length == serialize(multiLabelGraph(7)).length)
+    val copy = new java.io.ObjectInputStream(new java.io.ByteArrayInputStream(bytes))
+      .readObject().asInstanceOf[LabeledGraph]
+    def same(a: LabelGroups, b: LabelGroups) = a.off.sameElements(b.off) && a.vert.sameElements(b.vert)
+    assert(copy.outByLabel ne outGroups)
+    assert(same(copy.outByLabel, outGroups) && same(copy.inByLabel, inGroups))
+  }
+
+  test("label-grouped adjacency rejects |V|·|L| beyond its Int offsets; the graph itself builds") {
+    // 2^24 vertices × 128 labels = 2^31 groups: the require runs before the offsets are allocated
+    val g = LabeledGraph.fromEdges(LabeledGraph.MaxVertices, 128, Array.empty)
+    intercept[IllegalArgumentException](g.outByLabel)
+    intercept[IllegalArgumentException](g.inByLabel)
   }
 
   test("toDF/fromDF roundtrip preserves the edge set") {
