@@ -24,7 +24,8 @@ trait Inserter {
   * nothing per visit:
   *
   *  - a stamped visited array over `(vertex, phase)` product states and a
-  *    growable kernel-BFS queue;
+  *    kernel-BFS queue, both of `k·|V|` slots: a state is queued only when
+  *    it is first marked in a BFS, so the queue never grows;
   *  - the kernel map of one search: kernel code → slot, slots numbered in
   *    first-seen order, each with a reusable frontier array;
   *  - one search root's [[RootInserter]] state: the probe tables of the
@@ -36,18 +37,14 @@ trait Inserter {
   * builds over graphs of at most `numVertices` vertices and k at most `k`.
   * Every builder makes its scratch before any search, so `k` is checked here,
   * and so is the size of the largest per-vertex tables, the probe tables
-  * (3·|V|) and `visit` (k·|V|), before any of them is allocated.
+  * (3·|V|), `visit` and the queue (k·|V|), before any of them is allocated.
   */
 final class KbsScratch(val numVertices: Int, val k: Int) {
   require(k >= 1 && k <= LabelSeq.MaxLen, s"k=$k outside 1..${LabelSeq.MaxLen}")
   require(numVertices.toLong * math.max(k, 3) < Int.MaxValue, "product state space too large")
   val visit = new Array[Int](numVertices * k)
+  val bq    = new Array[Int](numVertices * k) // kernel-BFS queue: packed v*k+phase
   var stamp = 0
-
-  var bq = new Array[Int](1024) // kernel-BFS queue: packed v*k+phase
-
-  def growBfs(needed: Int): Unit =
-    if (needed > bq.length) bq = java.util.Arrays.copyOf(bq, math.max(needed, bq.length * 2))
 
   // ---- kernel map: open addressing with linear probing; a cell holds
   // (search stamp << 32 | slot) and is live only under the current stamp ----
@@ -80,22 +77,21 @@ final class KbsScratch(val numVertices: Int, val k: Int) {
   }
 
   private def kernelSlot(kernel: Long): Int = {
-    val pos = cell(kernel)
+    var pos = cell(kernel)
     if ((kmCells(pos) >>> 32).toInt == kmStamp) return kmCells(pos).toInt
     val s = numKernels
-    if (s == kernels.length) {
+    if (s == kernels.length) { // cells stay twice the slots: the load stays at most 1/2
       kernels = java.util.Arrays.copyOf(kernels, s * 2)
       frontierN = java.util.Arrays.copyOf(frontierN, s * 2)
       frontiers = Array.tabulate(s * 2)(i => if (i < s) frontiers(i) else new Array[Int](8))
+      kmCells = new Array[Long](kmCells.length * 2)
+      for (i <- 0 until s) kmCells(cell(kernels(i))) = kmStamp.toLong << 32 | i
+      pos = cell(kernel)
     }
     kernels(s) = kernel
     frontierN(s) = 0
     numKernels = s + 1
     kmCells(pos) = kmStamp.toLong << 32 | s
-    if (2 * numKernels > kmCells.length) { // keep the load at most 1/2
-      kmCells = new Array[Long](kmCells.length * 2)
-      for (i <- 0 until numKernels) kmCells(cell(kernels(i))) = kmStamp.toLong << 32 | i
-    }
     s
   }
 
@@ -211,7 +207,6 @@ object Kbs {
       if (visit(st) != stamp) {
         visit(st) = stamp
         if (forwardDir) ins.insertIn(v, kernel) else ins.insertOut(v, kernel) // depth <= k: no PR3
-        scratch.growBfs(tail + 1)
         scratch.bq(tail) = st; tail += 1
       }
       i += 1
@@ -233,11 +228,8 @@ object Kbs {
         val y   = groupVert(j)
         val nst = y * k + nphase
         if (visit(nst) != stamp) {
-          if (complete && !(if (forwardDir) ins.insertIn(y, kernel) else ins.insertOut(y, kernel))) {
-            visit(nst) = stamp // PR3: entry derivable — skip y and everything beyond
-          } else {
-            visit(nst) = stamp
-            scratch.growBfs(tail + 1)
+          visit(nst) = stamp // also when PR3 prunes y: its entry is derivable, skip it and all beyond
+          if (!complete || (if (forwardDir) ins.insertIn(y, kernel) else ins.insertOut(y, kernel))) {
             scratch.bq(tail) = nst; tail += 1
           }
         }

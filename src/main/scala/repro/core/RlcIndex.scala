@@ -23,23 +23,15 @@ final class EntryList extends Serializable {
     while (i < n) { f(hops(i), mrs(i)); i += 1 }
   }
 
-  /** Case 2 of Def. 4: is `(hop, mr)` in this list? A binary search by `aid(hop)`. */
+  /** Case 2 of Def. 4: is `(hop, mr)` here? A lower bound on `aid(hop)`, then a scan of hop's run. */
   def contains(aid: Array[Int], hop: Int, mr: Long): Boolean = {
     val target = aid(hop)
-    var lo = 0; var hi = n - 1
-    while (lo <= hi) {
+    var lo = 0; var hi = n
+    while (lo < hi) {
       val mid = (lo + hi) >>> 1
-      val a = aid(hops(mid))
-      if (a < target) lo = mid + 1
-      else if (a > target) hi = mid - 1
-      else {
-        var i = mid
-        while (i >= 0 && hops(i) == hop) { if (mrs(i) == mr) return true; i -= 1 }
-        i = mid + 1
-        while (i < n && hops(i) == hop) { if (mrs(i) == mr) return true; i += 1 }
-        return false
-      }
+      if (aid(hops(mid)) < target) lo = mid + 1 else hi = mid
     }
+    while (lo < n && hops(lo) == hop) { if (mrs(lo) == mr) return true; lo += 1 }
     false
   }
 

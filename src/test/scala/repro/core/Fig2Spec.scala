@@ -107,6 +107,63 @@ class Fig2Spec extends AnyFunSuite {
       s"s=$s t=$t L=${LabelSeq.show(mr)}")
   }
 
+  /** Every insert attempt of the k = 2 build, root by root in access order,
+    * as `root dir y mr verdict`: `dir` is `out` for `(root, mr)` into
+    * `L_out(y)` and `in` for `L_in(y)`; the verdict is `kept`, `PR2`
+    * (`aid(root) > aid(y)`) or `PR1` (PR2 passed, the inserter refused).
+    * PR3 shows as the attempts that a refused kernel-BFS completion cuts off.
+    */
+  private def attemptLog: Seq[String] = {
+    val (aid, order) = RlcIndexBuilder.accessOrder(g)
+    val built   = new RlcIndex(g.numVertices, 2, aid)
+    val scratch = new KbsScratch(g.numVertices, 2)
+    val log     = Seq.newBuilder[String]
+    order.foreach { root =>
+      val ins = new RootInserter(built, root, scratch)
+      def note(dir: String, y: Int, mr: Long, ok: Boolean): Boolean = {
+        val verdict = if (ok) "kept" else if (aid(root) > aid(y)) "PR2" else "PR1"
+        log += s"v${root + 1} $dir v${y + 1} ${LabelSeq.show(mr)} $verdict"
+        ok
+      }
+      Kbs.run(g, root, 2, new Inserter {
+        def insertOut(y: Int, mr: Long): Boolean = note("out", y, mr, ins.insertOut(y, mr))
+        def insertIn(y: Int, mr: Long): Boolean  = note("in", y, mr, ins.insertIn(y, mr))
+      }, scratch)
+      RootInserter.append(built, root, ins.lists, ins.mrs, ins.n)
+    }
+    log.result()
+  }
+
+  test("pruning-rule firings: every insert attempt of the build and its verdict, in order") {
+    assert(attemptLog == Seq(
+      "v1 out v3 (l2) kept", "v1 out v1 (l2) kept", "v1 out v4 (l1) kept", "v1 out v5 (l1) kept",
+      "v1 out v2 (l1) kept", "v1 out v1 (l1) kept", "v1 out v3 (l1) kept", "v1 out v3 (l2,l1) kept",
+      "v1 out v2 (l2,l1) kept", "v1 out v1 (l2,l1) kept",
+      "v1 in v3 (l2) kept", "v1 in v1 (l2) PR1", "v1 in v4 (l2) kept", "v1 in v2 (l2,l1) kept",
+      "v1 in v6 (l2,l1) kept", "v1 in v1 (l2,l1) PR1", "v1 in v2 (l1) kept", "v1 in v5 (l1) kept",
+      "v1 in v1 (l1) PR1", "v1 in v5 (l1,l2) kept", "v1 in v3 (l1,l2) kept",
+      "v3 out v1 (l2) PR2", "v3 out v3 (l2) PR1", "v3 out v4 (l1,l2) kept", "v3 out v5 (l1,l2) kept",
+      "v3 out v1 (l1,l2) PR2", "v3 out v3 (l1,l2) kept",
+      "v3 in v1 (l2) PR2", "v3 in v3 (l2) PR1", "v3 in v4 (l2) PR1", "v3 in v2 (l2,l1) PR1",
+      "v3 in v1 (l2,l1) PR2", "v3 in v6 (l2,l1) PR1", "v3 in v6 (l2,l3) kept", "v3 in v2 (l1) PR1",
+      "v3 in v5 (l1) PR1", "v3 in v6 (l1) kept", "v3 in v1 (l1) PR2", "v3 in v5 (l1,l2) kept",
+      "v3 in v3 (l1,l2) PR1",
+      "v2 out v1 (l1) PR2", "v2 out v4 (l1) PR1", "v2 out v5 (l1) PR1", "v2 out v3 (l1) PR2",
+      "v2 out v2 (l1) PR1", "v2 out v3 (l2,l1) PR2", "v2 out v1 (l2,l1) PR2", "v2 out v2 (l2,l1) PR1",
+      "v2 in v5 (l2) kept", "v2 in v1 (l2,l1) PR2", "v2 in v2 (l2,l1) PR1", "v2 in v6 (l2,l1) PR1",
+      "v2 in v5 (l1) PR1", "v2 in v1 (l1) PR2", "v2 in v2 (l1) PR1",
+      "v4 out v3 (l2) PR2", "v4 out v1 (l2) PR2",
+      "v4 in v1 (l1) PR2", "v4 in v2 (l1) PR2", "v4 in v5 (l1) PR1", "v4 in v3 (l1,l2) PR2",
+      "v4 in v5 (l1,l2) PR1", "v4 in v6 (l3) kept",
+      "v5 out v2 (l2) PR2", "v5 out v1 (l1,l2) PR2", "v5 out v3 (l1,l2) PR2", "v5 out v4 (l1,l2) PR2",
+      "v5 out v5 (l1,l2) PR1", "v5 out v2 (l1) PR2", "v5 out v1 (l1) PR2", "v5 out v3 (l1) PR2",
+      "v5 out v4 (l1) PR2", "v5 out v5 (l1) PR1",
+      "v5 in v1 (l1) PR2", "v5 in v2 (l1) PR2", "v5 in v5 (l1) PR1", "v5 in v3 (l1,l2) PR2",
+      "v5 in v5 (l1,l2) PR1",
+      "v6 out v3 (l1) PR2", "v6 out v1 (l2,l1) PR2", "v6 out v3 (l2,l1) PR2", "v6 out v2 (l2,l1) PR2",
+      "v6 out v4 (l3) PR2", "v6 out v3 (l2,l3) PR2"))
+  }
+
   test("entry count matches Table II (26 entries)") {
     assert(index.entryCount == 26L)
   }

@@ -6,7 +6,8 @@ object ExampleGraphs {
   /** Fig. 2's graph G (vertices v1..v6 → 0..5, labels l1..l3 → 0..2),
     * reconstructed from Examples 3/4/5 and Table II — see DESIGN.md §5 for
     * the derivation and the checks that pin it down (IN-OUT order, every
-    * insertion of Example 4, the frontier sets, the PR firings of Example 5).
+    * insertion of Example 4, the frontier sets, Table II); `Fig2Spec` also
+    * pins the pruning-rule firings of the build on it.
     */
   def fig2: LabeledGraph = {
     val l1 = 0; val l2 = 1; val l3 = 2

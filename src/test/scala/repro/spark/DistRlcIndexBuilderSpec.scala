@@ -85,8 +85,8 @@ class DistRlcIndexBuilderSpec extends SparkSpec {
     assert(dist.condensedViolations == 0L)
   }
 
-  test("single batch equals the fully-sequential entry set") {
-    val g = TestGraphs.random(17, n = 25, e = 75, labels = 3)
+  test("one Spark job, no sequential head: entry set = sequential") {
+    val g = TestGraphs.random(17, n = 25, e = 75, labels = 3) // head: 25 / 64 = 0 roots
     assert(entrySet(DistRlcIndexBuilder.build(spark, g, 2)) == entrySet(RlcIndexBuilder.build(g, 2)))
   }
 
@@ -133,10 +133,10 @@ class DistRlcIndexBuilderSpec extends SparkSpec {
     sum
   }
 
-  // (graph seed, entry count, checksum), recorded while the merge's PR1 was
-  // Algorithm 1 (`RlcIndex.query`) and the batches were geometric; they
-  // equal the sequential build's. Seeds 1–5 are the 20-vertex graphs above,
-  // seed 13 the 80-vertex BA graph.
+  // (graph seed, entry count, checksum), recorded under an older
+  // distributed build (several Spark jobs, Algorithm 1 as the merge's PR1)
+  // and unchanged since; they equal the sequential build's. Seeds 1–5 are
+  // the 20-vertex graphs above, seed 13 the 80-vertex BA graph.
   private val Pinned = Seq(
     (1, 215L, -5434706825L), (2, 240L, -230616567L), (3, 201L, -28683721556L),
     (4, 237L, -2117277189L), (5, 198L, -20743691220L), (13, 715L, -33051146747L))
